@@ -169,7 +169,7 @@ func BenchmarkScanParallel(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := m.RunTable1Workers(glitcher.GuardWhileA, workers, nil)
+				res, err := m.RunTable1(glitcher.GuardWhileA, workers, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

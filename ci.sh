@@ -29,7 +29,7 @@ go test -run TestMetricsEndpoint ./internal/obs/
 # and the sharded-scan observer merge. The full-grid golden-equivalence
 # tests stay in the non-short suite; these small slices keep CI fast.
 go test -race -run 'TestParallelObserverAccounting|TestParallelMoreWorkersThanUnits|TestRunNilObs' ./internal/campaign/
-go test -race -run 'TestObsShardFlushMatchesSerial|TestWidthBands|TestGridBand' ./internal/glitcher/
+go test -race -run 'TestObsShardFlushMatchesSerial|TestGridBand' ./internal/glitcher/
 go run ./cmd/glitchemu -model and -max-flips 2 -workers 4 >/dev/null
 
 # Crash-safe run-controller gates: the runctl suite and a campaign
@@ -87,6 +87,11 @@ cmp "$tmp/golden.txt" results/figure2.txt
 cmp "$tmp/figure2_padudf.txt" results/figure2_padudf.txt
 "$tmp/glitchscan" -workers 2 -out "$tmp/section5.txt"
 cmp "$tmp/section5.txt" results/section5.txt
+# The scans and the search must print the same bytes when every attempt
+# re-simulates the boot prologue instead of replaying the trigger-point
+# snapshot.
+"$tmp/glitchscan" -workers 2 -full-run -out "$tmp/section5_fullrun.txt"
+cmp "$tmp/section5_fullrun.txt" results/section5.txt
 "$tmp/glitcheval" -workers 2 -out "$tmp/section7.txt"
 cmp "$tmp/section7.txt" results/section7.txt
 

@@ -9,6 +9,7 @@ import (
 
 	"glitchlab/internal/analyze"
 	"glitchlab/internal/analyze/corpus"
+	"glitchlab/internal/difftest"
 	"glitchlab/internal/obs"
 	"glitchlab/internal/runctl"
 )
@@ -181,6 +182,48 @@ func TestCacheKillResume(t *testing.T) {
 	}
 	if string(reportJSON(t, warm)) != string(reportJSON(t, cold)) {
 		t.Fatal("resumed report differs from an uninterrupted cold lint")
+	}
+}
+
+// TestProgressPanicQuarantinesUnit: a panicking Progress callback is
+// quarantined with its unit instead of crashing the lint or leaving the
+// progress lock held for the next unit, and a rerun over the cache it
+// left still reproduces the cold report byte for byte.
+func TestProgressPanicQuarantinesUnit(t *testing.T) {
+	const n = 6
+	dir := miniCorpus(t, n, 47)
+	o := cachedOpts(t, dir)
+
+	coldOpts := o
+	coldOpts.CachePath = ""
+	coldOpts.Obs = obs.NewRegistry()
+	cold := lint(t, coldOpts)
+
+	poisoned := o
+	poisoned.Workers = 1
+	calls := 0
+	poisoned.Progress = func(done, total int) {
+		calls++
+		if done == 3 {
+			panic("progress callback failed")
+		}
+	}
+	_, err := corpus.Lint(context.Background(), poisoned)
+	var qe *runctl.QuarantineError
+	if !errors.As(err, &qe) {
+		t.Fatalf("lint error = %v, want *runctl.QuarantineError", err)
+	}
+	if want := "lint unit=" + difftest.CorpusUnitName(2); len(qe.Units) != 1 || qe.Units[0].Unit != want {
+		t.Fatalf("quarantined %+v, want only %q", qe.Units, want)
+	}
+	if calls != n {
+		t.Fatalf("progress called %d times, want %d", calls, n)
+	}
+
+	rerun := o
+	rerun.Obs = obs.NewRegistry()
+	if string(reportJSON(t, lint(t, rerun))) != string(reportJSON(t, cold)) {
+		t.Fatal("rerun report differs from a cold lint")
 	}
 }
 

@@ -8,8 +8,8 @@
 //
 // Determinism is the load-bearing contract: the same corpus produces
 // byte-identical reports whether the lint ran cold or from a warm cache,
-// serially or sharded across workers. Cache hit/miss statistics therefore
-// live outside the report (Stats, obs counters), never inside it.
+// on one worker or many. Cache hit/miss statistics therefore live outside
+// the report (Stats, obs counters), never inside it.
 package corpus
 
 import (
@@ -41,8 +41,8 @@ type Options struct {
 	// Analyze tunes the per-unit analyzer (sensitive globals, disabled
 	// rules, …) exactly as the single-program linter does.
 	Analyze analyze.Options
-	// Workers shards units across goroutines; <= 1 lints serially. Output
-	// is byte-identical either way.
+	// Workers shards units across goroutines; <= 1 runs one worker.
+	// Output is byte-identical at any worker count.
 	Workers int
 	// CachePath persists per-unit findings across runs; "" disables the
 	// cache.
@@ -69,9 +69,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Obs == nil {
 		o.Obs = obs.Default
-	}
-	if o.Workers < 1 {
-		o.Workers = 1
 	}
 	return o
 }
@@ -177,11 +174,13 @@ type Result struct {
 	Stats  Stats
 }
 
-// Lint walks the corpus and lints every unit, consulting and updating the
-// cache when one is configured. On context cancellation the cache is
-// flushed with every unit completed so far and the error wraps
-// runctl.ErrInterrupted — a re-run with the same cache resumes where the
-// lint stopped and still produces the byte-identical full report.
+// Lint walks the corpus and lints every unit on a runctl.Pool, consulting
+// and updating the cache when one is configured. On context cancellation
+// the cache is flushed with every unit completed so far and the error
+// wraps runctl.ErrInterrupted — a re-run with the same cache resumes where
+// the lint stopped and still produces the byte-identical full report. A
+// unit that panics is quarantined: the other units still complete and are
+// cached, and the error is a *runctl.QuarantineError naming the unit.
 func Lint(ctx context.Context, o Options) (*Result, error) {
 	o = o.withDefaults()
 	units, err := walk(o.Root)
@@ -197,13 +196,14 @@ func Lint(ctx context.Context, o Options) (*Result, error) {
 	reports := make([]*UnitReport, len(units))
 	keys := make([]string, len(units))
 	entries := make([]*cacheEntry, len(units))
-	var hits, misses, done atomic.Int64
+	var hits, misses atomic.Int64
 	var progressMu sync.Mutex
+	done := 0 // units completed, guarded by progressMu
 
-	lintOne := func(i int) error {
+	lintOne := func(i int) (struct{}, error) {
 		data, err := os.ReadFile(filepath.Join(o.Root, filepath.FromSlash(units[i])))
 		if err != nil {
-			return fmt.Errorf("corpus: %w", err)
+			return struct{}{}, fmt.Errorf("corpus: %w", err)
 		}
 		key := unitKey(stamp, data)
 		keys[i] = key
@@ -214,7 +214,7 @@ func Lint(ctx context.Context, o Options) (*Result, error) {
 			misses.Add(1)
 			entry, err = lintUnit(string(data), o.Configs, o.Analyze)
 			if err != nil {
-				return err
+				return struct{}{}, err
 			}
 		}
 		entries[i] = entry
@@ -223,16 +223,31 @@ func Lint(ctx context.Context, o Options) (*Result, error) {
 			Builds: entry.Builds, Summary: entry.Summary,
 		}
 		if o.Progress != nil {
+			// Deferred, so a panicking callback (quarantined with its
+			// unit) cannot leave the lock held for the next unit.
 			progressMu.Lock()
-			o.Progress(int(done.Add(1)), len(units))
-			progressMu.Unlock()
-		} else {
-			done.Add(1)
+			defer progressMu.Unlock()
+			done++
+			o.Progress(done, len(units))
 		}
-		return nil
+		return struct{}{}, nil
 	}
 
-	lintErr := forEachUnit(ctx, o.Workers, len(units), lintOne)
+	unitKeys := make([]string, len(units))
+	for i, u := range units {
+		unitKeys[i] = "lint unit=" + u
+	}
+	rn := runctl.New(ctx)
+	lintErr := runctl.Pool[struct{}]{
+		Keys:    unitKeys,
+		Workers: o.Workers,
+		Start: func() (func(int) (struct{}, error), func(), error) {
+			return lintOne, nil, nil
+		},
+	}.Run(rn)
+	if lintErr == nil {
+		lintErr = rn.FinishErr()
+	}
 
 	// Persist what completed — misses just computed and hits still in
 	// use — pruning entries for units that vanished or changed. An
@@ -280,60 +295,6 @@ func Lint(ctx context.Context, o Options) (*Result, error) {
 	stats.FailedBuilds = rep.Totals.FailedBuilds
 	observe(o.Obs, rep, stats)
 	return &Result{Report: rep, Stats: stats}, nil
-}
-
-// forEachUnit runs fn(i) for every unit index, serially or across workers,
-// stopping at context cancellation. The first fn error wins; cancellation
-// is reported wrapping runctl.ErrInterrupted.
-func forEachUnit(ctx context.Context, workers, n int, fn func(int) error) error {
-	interrupted := func() error {
-		return fmt.Errorf("corpus: lint interrupted (%w): %v",
-			runctl.ErrInterrupted, ctx.Err())
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				return interrupted()
-			}
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if workers > n {
-		workers = n
-	}
-	var (
-		next    atomic.Int64
-		wg      sync.WaitGroup
-		errOnce sync.Once
-		firstEr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || ctx.Err() != nil {
-					return
-				}
-				if err := fn(i); err != nil {
-					errOnce.Do(func() { firstEr = err })
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if firstEr != nil {
-		return firstEr
-	}
-	if ctx.Err() != nil {
-		return interrupted()
-	}
-	return nil
 }
 
 // walk collects the corpus units: every *.c file under root, as sorted

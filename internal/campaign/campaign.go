@@ -481,8 +481,8 @@ func (r *Runner) sweepFlips(model mutate.Model, k int) FlipResult {
 }
 
 // merge appends one flip count's results. FlipResults must arrive in
-// ascending-k order, which is what makes sharded sweeps byte-identical to
-// serial ones after the ordered merge.
+// ascending-k order, which is what makes sweeps byte-identical at any
+// worker count after the ordered merge.
 func (c *CondResult) merge(fr FlipResult) {
 	for o, n := range fr.Counts {
 		c.Totals[o] += n
@@ -506,15 +506,16 @@ type Config struct {
 	FullRun bool
 
 	// Workers shards the campaign across goroutines by (condition,
-	// flip-count) work units; each unit runs on its own emulator, and the
-	// merge preserves BranchConds/ascending-k order, so results are
-	// byte-identical to a serial run. <= 1 runs serially.
+	// flip-count) work units; each worker runs its units on its own
+	// emulators, and the merge preserves BranchConds/ascending-k order, so
+	// results are byte-identical at any worker count. <= 1 runs one
+	// worker.
 	Workers int
 
 	// Obs, when non-nil, instruments every execution of the campaign
-	// (counters, steps histogram, progress ticks, trace records). Parallel
-	// campaigns record through per-worker shards of this observer; counter
-	// totals match the serial numbers exactly.
+	// (counters, steps histogram, progress ticks, trace records). Every
+	// worker records through its own shard of this observer; counter
+	// totals do not depend on the worker count.
 	Obs *Observer
 
 	// Profile, when non-nil, attributes the campaign's cost to execution
@@ -581,13 +582,7 @@ func Run(cfg Config) ([]CondResult, error) {
 	}
 	cfg.Profile.Begin()
 	defer cfg.Profile.End()
-	var results []CondResult
-	var err error
-	if cfg.Workers > 1 {
-		results, err = runParallel(cfg)
-	} else {
-		results, err = runSerial(cfg)
-	}
+	results, err := runUnits(cfg)
 	if err != nil {
 		return results, err
 	}
@@ -613,67 +608,6 @@ func newRunnerFor(cfg Config, cond isa.Cond) (*Runner, error) {
 		r.FullRun = cfg.FullRun
 	}
 	return r, err
-}
-
-// runSerial walks the campaign one (condition, flip-count) unit at a time
-// — the same work units the parallel engine shards by, so checkpoints are
-// interchangeable between serial and parallel runs and the merge order
-// (BranchConds, then ascending k) is identical.
-func runSerial(cfg Config) ([]CondResult, error) {
-	rn := cfg.Run
-	conds := isa.BranchConds()
-	psh := cfg.Profile.Shard()
-	defer psh.Flush()
-	results := make([]CondResult, 0, len(conds))
-	for _, cond := range conds {
-		res := CondResult{Cond: cond, Model: cfg.Model}
-		var r *Runner
-		condOK := true
-		for k := 0; k <= cfg.MaxFlips; k++ {
-			if err := rn.Err(); err != nil {
-				return results, err
-			}
-			key := cfg.unitKey(cond, k)
-			var fr FlipResult
-			if rn.Lookup(key, &fr) {
-				res.merge(fr)
-				continue
-			}
-			if r == nil {
-				var err error
-				if r, err = newRunnerFor(cfg, cond); err != nil {
-					return nil, err
-				}
-				r.Obs = cfg.Obs
-				r.Prof = psh
-				if cfg.Obs != nil {
-					cfg.Obs.attach(r.cpu)
-				}
-			}
-			err := rn.Protect(key, func() error {
-				fr = r.sweepFlips(cfg.Model, k)
-				return rn.Complete(key, fr)
-			})
-			var pe *runctl.PanicError
-			if errors.As(err, &pe) {
-				// The unit is quarantined and the emulator may be wedged
-				// mid-execution: rebuild the runner for the next unit and
-				// leave this condition out of the merged results.
-				r = nil
-				condOK = false
-				continue
-			}
-			if err != nil {
-				return nil, err
-			}
-			res.merge(fr)
-		}
-		cfg.Obs.flush()
-		if condOK {
-			results = append(results, res)
-		}
-	}
-	return results, nil
 }
 
 // CheckAccounting verifies the result's internal bookkeeping: every

@@ -52,10 +52,10 @@ func OutcomeMetric(o Outcome) string {
 // instrumented sweeps within a few percent of bare ones (see
 // BenchmarkCampaignInstrumented).
 //
-// An Observer is single-goroutine; parallel campaigns give every worker
+// An Observer is single-goroutine; every campaign worker records through
 // its own Shard. Shards share the registry counters, the tracer and the
-// progress accounting, so flushed totals are exactly the serial numbers
-// no matter how the work was split.
+// progress accounting, so flushed totals do not depend on how the work
+// was split.
 type Observer struct {
 	reg    *obs.Registry
 	tracer *obs.Tracer

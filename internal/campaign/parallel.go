@@ -4,8 +4,6 @@ import (
 	"errors"
 	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"glitchlab/internal/isa"
 	"glitchlab/internal/mutate"
@@ -17,79 +15,60 @@ import (
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // unit is one shard of a campaign: every mask of one flip count against
-// one conditional branch. Units are fully independent — each gets its own
-// Runner (private CPU and memory), so workers share no mutable state and
-// the merge can place every FlipResult in its predetermined slot.
+// one conditional branch. Units are fully independent — each runs on its
+// worker's own Runner (private CPU and memory), so workers share no
+// mutable state and the merge can place every FlipResult in its
+// predetermined slot.
 type unit struct {
 	condIdx int
 	flips   int
 }
 
-// runParallel executes the campaign sharded across cfg.Workers goroutines.
-// Work units are handed out largest-first (C(16,k) peaks at k=8) so the
+// runUnits executes the campaign's units on a runctl.Pool of cfg.Workers
+// workers. Units are listed largest-first (C(16,k) peaks at k=8) so the
 // expensive middle flip counts do not end up serialized on one worker; the
-// merge reassembles results in BranchConds/ascending-k order, making the
-// output byte-identical to runSerial's.
-func runParallel(cfg Config) ([]CondResult, error) {
-	rn := cfg.Run
+// merge reassembles results in BranchConds/ascending-k order, so the
+// output does not depend on the worker count. On interruption or
+// quarantine only the conditions whose every unit completed are
+// assembled; the rest live on in the checkpoint.
+func runUnits(cfg Config) ([]CondResult, error) {
 	conds := isa.BranchConds()
-
-	// Every (condIdx, flips) slot is written by exactly one unit, so the
-	// grid needs no locking; only the error slot is contended. Units
-	// already in the checkpoint are restored here and never dispatched.
-	grid := make([][]FlipResult, len(conds))
-	have := make([][]bool, len(conds))
-	for i := range grid {
-		grid[i] = make([]FlipResult, cfg.MaxFlips+1)
-		have[i] = make([]bool, cfg.MaxFlips+1)
-	}
 	units := make([]unit, 0, len(conds)*(cfg.MaxFlips+1))
 	for ci := range conds {
 		for k := 0; k <= cfg.MaxFlips; k++ {
-			if rn.Lookup(cfg.unitKey(conds[ci], k), &grid[ci][k]) {
-				have[ci][k] = true
-				continue
-			}
 			units = append(units, unit{condIdx: ci, flips: k})
 		}
 	}
 	sort.SliceStable(units, func(i, j int) bool {
 		return mutate.Binomial(16, units[i].flips) > mutate.Binomial(16, units[j].flips)
 	})
-
-	workers := cfg.Workers
-	if workers > len(units) {
-		workers = len(units)
+	keys := make([]string, len(units))
+	for i, u := range units {
+		keys[i] = cfg.unitKey(conds[u.condIdx], u.flips)
 	}
 
-	var next atomic.Int64
-	var firstErr atomic.Pointer[error]
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+	grid := make([][]FlipResult, len(conds))
+	for ci := range grid {
+		grid[ci] = make([]FlipResult, cfg.MaxFlips+1)
+	}
+	have := make([]int, len(conds)) // units emitted per condition
+	err := runctl.Pool[FlipResult]{
+		Keys:    keys,
+		Workers: cfg.Workers,
+		Start: func() (func(int) (FlipResult, error), func(), error) {
 			shard := cfg.Obs.Shard()
-			defer shard.flush()
 			psh := cfg.Profile.Shard()
-			defer psh.Flush()
-			// One runner per (condition, variant) per worker; rebuilding
-			// it for every flip-count unit of the same condition would
-			// only redo the assembly.
-			runners := make(map[int]*Runner, len(conds))
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(units) || firstErr.Load() != nil || rn.Err() != nil {
-					return
-				}
+			// One runner per condition per worker: rebuilding it for
+			// every flip-count unit of the same condition would redo the
+			// assembly and prologue and drop the word memo.
+			runners := make([]*Runner, len(conds))
+			run := func(i int) (FlipResult, error) {
 				u := units[i]
 				r := runners[u.condIdx]
 				if r == nil {
 					var err error
-					r, err = newRunnerFor(cfg, conds[u.condIdx])
-					if err != nil {
-						firstErr.CompareAndSwap(nil, &err)
-						return
+					if r, err = newRunnerFor(cfg, conds[u.condIdx]); err != nil {
+						return FlipResult{}, err
 					}
 					r.Obs = shard
 					r.Prof = psh
@@ -98,59 +77,30 @@ func runParallel(cfg Config) ([]CondResult, error) {
 					}
 					runners[u.condIdx] = r
 				}
-				key := cfg.unitKey(conds[u.condIdx], u.flips)
-				err := rn.Protect(key, func() error {
-					fr := r.sweepFlips(cfg.Model, u.flips)
-					if err := rn.Complete(key, fr); err != nil {
-						return err
-					}
-					grid[u.condIdx][u.flips] = fr
-					have[u.condIdx][u.flips] = true
-					return nil
-				})
-				if err != nil {
-					var pe *runctl.PanicError
-					if errors.As(err, &pe) {
-						// Quarantined: the worker's emulator for this
-						// condition may be wedged mid-execution, so drop it
-						// and move on to the next unit.
-						delete(runners, u.condIdx)
-						continue
-					}
-					firstErr.CompareAndSwap(nil, &err)
-					return
-				}
+				return r.sweepFlips(cfg.Model, u.flips), nil
 			}
-		}()
-	}
-	wg.Wait()
-	if errp := firstErr.Load(); errp != nil {
-		return nil, *errp
+			return run, func() { shard.flush(); psh.Flush() }, nil
+		},
+		Emit: func(i int, fr FlipResult) {
+			u := units[i]
+			grid[u.condIdx][u.flips] = fr
+			have[u.condIdx]++
+		},
+	}.Run(cfg.Run)
+	if err != nil && !errors.Is(err, runctl.ErrInterrupted) {
+		return nil, err
 	}
 
-	// Merge in BranchConds/ascending-k order — byte-identical to a serial
-	// run. On interruption or quarantine only the conditions whose every
-	// unit completed are assembled; the rest live on in the checkpoint.
 	results := make([]CondResult, 0, len(conds))
 	for ci, cond := range conds {
-		complete := true
-		for k := 0; k <= cfg.MaxFlips; k++ {
-			if !have[ci][k] {
-				complete = false
-				break
-			}
-		}
-		if !complete {
+		if have[ci] != cfg.MaxFlips+1 {
 			continue
 		}
 		res := CondResult{Cond: cond, Model: cfg.Model}
-		for k := 0; k <= cfg.MaxFlips; k++ {
-			res.merge(grid[ci][k])
+		for _, fr := range grid[ci] {
+			res.merge(fr)
 		}
 		results = append(results, res)
 	}
-	if err := rn.Err(); err != nil {
-		return results, err
-	}
-	return results, nil
+	return results, err
 }

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"glitchlab/internal/codegen"
 	"glitchlab/internal/firmware"
@@ -377,116 +375,64 @@ func Table6Configs(sensitive ...string) []passes.Config {
 
 // RunTable6 runs the complete Table VI evaluation. This is the heaviest
 // experiment (about 1.25 million glitch attempts). Its work unit is the
-// (scenario, defense, attack) cell: workers goroutines (<= 1 for one)
-// pull whole cells from a shared queue, each compiling and scanning its
-// cell on its own machine, so the counts do not depend on the worker
-// count. The cell is the smallest unit that keeps them that way: a cell's
-// attempts share one board, whose flash (and, in the All configuration,
-// the random-delay seed persisted there) carries over from attempt to
-// attempt. progress, when non-nil, is called once per completed cell, in
-// table order, from the calling goroutine.
+// (scenario, defense, attack) cell: a runctl.Pool of workers goroutines
+// takes whole cells, each compiling and scanning its cell on its own
+// machine, so the counts do not depend on the worker count. The cell is
+// the smallest unit that keeps them that way: a cell's attempts share one
+// board, whose flash (and, in the All configuration, the random-delay
+// seed persisted there) carries over from attempt to attempt. progress,
+// when non-nil, is called once per restored or completed cell, in table
+// order, from the calling goroutine.
 //
 // rn, when non-nil, threads the run controller through the matrix: each
 // cell is a checkpointed work unit, skipped on resume and quarantined on
-// panic; an interrupted run returns the cells completed so far with an
-// error wrapping runctl.ErrInterrupted.
+// panic; no cell starts after another failed; an interrupted run returns
+// the cells completed so far with an error wrapping
+// runctl.ErrInterrupted.
 func RunTable6(model *glitcher.Model, workers int, progress func(sc, cfg string,
 	a Attack, cell Table6Cell), rn *runctl.Run) (*Table6Result, error) {
 	type unit struct {
 		sc     Scenario
 		cfg    passes.Config
 		attack Attack
-		cell   Table6Cell
-		err    error
-		done   chan struct{}
 	}
 	res := &Table6Result{Cells: map[string]map[string]map[Attack]Table6Cell{}}
-	var units []*unit
+	var units []unit
+	var keys []string
 	for _, sc := range Table6Scenarios() {
 		res.Cells[sc.Name] = map[string]map[Attack]Table6Cell{}
 		for _, cfg := range Table6Configs(sc.Sensitive...) {
 			res.Cells[sc.Name][cfg.Name()] = map[Attack]Table6Cell{}
 			for _, attack := range Attacks() {
-				units = append(units, &unit{sc: sc, cfg: cfg, attack: attack,
-					done: make(chan struct{})})
+				units = append(units, unit{sc: sc, cfg: cfg, attack: attack})
+				keys = append(keys, fmt.Sprintf("table6 scenario=%s config=%s attack=%s",
+					sc.Name, cfg.Name(), attack))
 			}
 		}
 	}
-
-	var next atomic.Int64
-	var failed atomic.Bool // a unit hit an error other than a quarantine
-	var wg sync.WaitGroup
-	worker := func() {
-		defer wg.Done()
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= len(units) {
-				return
-			}
+	runCell := func(i int) (Table6Cell, error) {
+		u := units[i]
+		return RunTable6Cell(model, u.sc, u.cfg, u.attack, rn)
+	}
+	err := runctl.Pool[Table6Cell]{
+		Keys:    keys,
+		Workers: workers,
+		Start: func() (func(int) (Table6Cell, error), func(), error) {
+			return runCell, nil, nil
+		},
+		Emit: func(i int, cell Table6Cell) {
 			u := units[i]
-			if u.err = rn.Err(); u.err == nil && failed.Load() {
-				u.err = errTable6Abandoned
-			}
-			if u.err == nil {
-				key := fmt.Sprintf("table6 scenario=%s config=%s attack=%s",
-					u.sc.Name, u.cfg.Name(), u.attack)
-				if !rn.Lookup(key, &u.cell) {
-					u.err = rn.Protect(key, func() error {
-						c, err := RunTable6Cell(model, u.sc, u.cfg, u.attack, rn)
-						if err != nil {
-							return err
-						}
-						u.cell = c
-						return rn.Complete(key, c)
-					})
-				}
-			}
-			var pe *runctl.PanicError
-			if u.err != nil && !errors.As(u.err, &pe) &&
-				!errors.Is(u.err, runctl.ErrInterrupted) {
-				failed.Store(true)
-			}
-			close(u.done)
-		}
-	}
-	for w := 0; w < min(max(workers, 1), len(units)); w++ {
-		wg.Add(1)
-		go worker()
-	}
-	defer wg.Wait()
-
-	// Drain in table order: a worker closes every unit it takes, and the
-	// workers take every unit.
-	var interrupted, fatal error
-	for _, u := range units {
-		<-u.done
-		var pe *runctl.PanicError
-		switch {
-		case u.err == nil:
-			res.Cells[u.sc.Name][u.cfg.Name()][u.attack] = u.cell
+			res.Cells[u.sc.Name][u.cfg.Name()][u.attack] = cell
 			if progress != nil {
-				progress(u.sc.Name, u.cfg.Name(), u.attack, u.cell)
+				progress(u.sc.Name, u.cfg.Name(), u.attack, cell)
 			}
-		case errors.As(u.err, &pe):
-			// Quarantined: the cell stays absent from the matrix;
-			// FinishErr names it below.
-		case errors.Is(u.err, runctl.ErrInterrupted):
-			if interrupted == nil {
-				interrupted = u.err
-			}
-		case fatal == nil && u.err != errTable6Abandoned:
-			fatal = u.err
-		}
-	}
+		},
+	}.Run(rn)
 	switch {
-	case fatal != nil:
-		return nil, fatal
-	case interrupted != nil:
-		return res, interrupted
+	case errors.Is(err, runctl.ErrInterrupted):
+		return res, err
+	case err != nil:
+		return nil, err
 	}
 	return res, rn.FinishErr()
 }
-
-// errTable6Abandoned marks the cells RunTable6 leaves unscanned after
-// another cell failed.
-var errTable6Abandoned = errors.New("core: table6 cell abandoned")

@@ -19,8 +19,8 @@ const DefaultSeed = 1
 // non-nil, instruments every execution (pass nil for a bare run). prof,
 // when non-nil, samples phase attribution for the campaign's hot path
 // (several variants may share one profile; their wall-clock brackets
-// sum). workers shards the campaign across goroutines; <= 1 runs
-// serially, and the results are identical either way. fullRun disables
+// sum). workers shards the campaign across goroutines (<= 1 runs one
+// worker), and the results are identical at any count. fullRun disables
 // trigger-point snapshot replay, re-simulating the harness prologue on
 // every mutated execution — results are byte-identical either way (the
 // ci.sh replay gate cmp-proves it on rendered output). rn, when non-nil,
@@ -59,7 +59,7 @@ func RunUDFHardening(model mutate.Model, maxFlips, workers int, fullRun bool, o 
 
 // RunTable1 executes the single-glitch scans for all three guards against
 // the given fault model (attach Model.Obs beforehand to instrument them),
-// sharding each scan across workers goroutines (<= 1 for serial). With rn
+// sharding each scan across workers goroutines (<= 1 for one). With rn
 // set, an interrupted run returns the tables completed so far (the partial
 // table for the guard in flight is dropped; its rows live on in the
 // checkpoint) plus an error wrapping runctl.ErrInterrupted, and a run with
@@ -67,7 +67,7 @@ func RunUDFHardening(model mutate.Model, maxFlips, workers int, fullRun bool, o 
 func RunTable1(m *glitcher.Model, workers int, rn *runctl.Run) ([]*glitcher.Table1Result, error) {
 	var out []*glitcher.Table1Result
 	for _, g := range glitcher.Guards() {
-		r, err := m.RunTable1Workers(g, workers, rn)
+		r, err := m.RunTable1(g, workers, rn)
 		if err != nil {
 			if errors.Is(err, runctl.ErrInterrupted) {
 				return out, err
@@ -83,7 +83,7 @@ func RunTable1(m *glitcher.Model, workers int, rn *runctl.Run) ([]*glitcher.Tabl
 func RunTable2(m *glitcher.Model, workers int, rn *runctl.Run) ([]*glitcher.Table2Result, error) {
 	var out []*glitcher.Table2Result
 	for _, g := range glitcher.Guards() {
-		r, err := m.RunTable2Workers(g, workers, rn)
+		r, err := m.RunTable2(g, workers, rn)
 		if err != nil {
 			if errors.Is(err, runctl.ErrInterrupted) {
 				return out, err
@@ -99,7 +99,7 @@ func RunTable2(m *glitcher.Model, workers int, rn *runctl.Run) ([]*glitcher.Tabl
 func RunTable3(m *glitcher.Model, workers int, rn *runctl.Run) ([]*glitcher.Table3Result, error) {
 	var out []*glitcher.Table3Result
 	for _, g := range glitcher.Guards() {
-		r, err := m.RunTable3Workers(g, workers, rn)
+		r, err := m.RunTable3(g, workers, rn)
 		if err != nil {
 			if errors.Is(err, runctl.ErrInterrupted) {
 				return out, err

@@ -198,7 +198,7 @@ func TestTable1Headline(t *testing.T) {
 	m := NewModel(1)
 	rates := map[Guard]float64{}
 	for _, g := range Guards() {
-		res, err := m.RunTable1(g)
+		res, err := m.RunTable1(g, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,7 +232,7 @@ func TestTable2MultiGlitchHarder(t *testing.T) {
 	}
 	m := NewModel(1)
 	for _, g := range Guards() {
-		res, err := m.RunTable2(g)
+		res, err := m.RunTable2(g, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,12 +263,12 @@ func TestTable3LongGlitchInversion(t *testing.T) {
 	longRates := map[Guard]float64{}
 	singleRates := map[Guard]float64{}
 	for _, g := range Guards() {
-		r3, err := m.RunTable3(g)
+		r3, err := m.RunTable3(g, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		longRates[g] = float64(r3.Total()) / float64(r3.Attempts)
-		r1, err := m.RunTable1(g)
+		r1, err := m.RunTable1(g, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,7 +296,7 @@ func TestTable1KindAttribution(t *testing.T) {
 		t.Skip("full parameter scan")
 	}
 	m := NewModel(1)
-	res, err := m.RunTable1(GuardWhileNotA)
+	res, err := m.RunTable1(GuardWhileNotA, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -420,10 +420,9 @@ func GridUntil(fn func(p Params) bool) bool {
 
 // GridBand iterates the width rows lo <= width < hi of the grid (every
 // offset of each row, in Grid's order within the band) until fn returns
-// false. Contiguous bands are the unit sharded scans partition the grid
-// by: each worker owns whole rows, so no parameter point is ever visited
-// twice and band results merge by simple addition. It reports whether the
-// whole band was visited.
+// false. Scans partition the grid into single-row bands, one work unit
+// each, so no parameter point is ever visited twice and row results merge
+// by simple addition. It reports whether the whole band was visited.
 func GridBand(lo, hi int, fn func(p Params) bool) bool {
 	for w := lo; w < hi; w++ {
 		for o := -ParamRange; o <= ParamRange; o++ {
@@ -433,29 +432,4 @@ func GridBand(lo, hi int, fn func(p Params) bool) bool {
 		}
 	}
 	return true
-}
-
-// WidthBands partitions the grid's 2*ParamRange+1 width rows into at most
-// n contiguous, near-equal [lo, hi) bands covering the grid exactly.
-func WidthBands(n int) [][2]int {
-	rows := 2*ParamRange + 1
-	if n > rows {
-		n = rows
-	}
-	if n < 1 {
-		n = 1
-	}
-	bands := make([][2]int, 0, n)
-	lo := -ParamRange
-	for i := 0; i < n; i++ {
-		// Distribute the remainder one row at a time so band sizes differ
-		// by at most one.
-		size := rows / n
-		if i < rows%n {
-			size++
-		}
-		bands = append(bands, [2]int{lo, lo + size})
-		lo += size
-	}
-	return bands
 }

@@ -7,49 +7,6 @@ import (
 	"glitchlab/internal/obs"
 )
 
-func TestWidthBandsPartitionGrid(t *testing.T) {
-	rows := 2*ParamRange + 1
-	for _, n := range []int{1, 2, 3, 4, 7, 8, rows, rows + 50} {
-		bands := WidthBands(n)
-		want := n
-		if want > rows {
-			want = rows
-		}
-		if len(bands) != want {
-			t.Fatalf("WidthBands(%d) returned %d bands, want %d", n, len(bands), want)
-		}
-		lo := -ParamRange
-		covered := 0
-		for _, b := range bands {
-			if b[0] != lo {
-				t.Fatalf("WidthBands(%d): band starts at %d, want %d (gap or overlap)", n, b[0], lo)
-			}
-			size := b[1] - b[0]
-			if size < 1 {
-				t.Fatalf("WidthBands(%d): empty band %v", n, b)
-			}
-			covered += size
-			lo = b[1]
-		}
-		if lo != ParamRange+1 || covered != rows {
-			t.Fatalf("WidthBands(%d) covers %d rows ending at %d, want %d ending at %d",
-				n, covered, lo, rows, ParamRange+1)
-		}
-		// Near-equal: sizes differ by at most one row.
-		min, max := rows, 0
-		for _, b := range bands {
-			if s := b[1] - b[0]; s < min {
-				min = s
-			} else if s > max {
-				max = s
-			}
-		}
-		if max > min+1 {
-			t.Fatalf("WidthBands(%d): band sizes range %d..%d, want spread <= 1", n, min, max)
-		}
-	}
-}
-
 func TestGridUntilStops(t *testing.T) {
 	n := 0
 	full := GridUntil(func(p Params) bool {
@@ -68,21 +25,22 @@ func TestGridUntilStops(t *testing.T) {
 func TestGridBandMatchesGridOrder(t *testing.T) {
 	var whole, banded []Params
 	Grid(func(p Params) { whole = append(whole, p) })
-	for _, b := range WidthBands(4) {
-		GridBand(b[0], b[1], func(p Params) bool {
+	for w := -ParamRange; w <= ParamRange; w++ {
+		GridBand(w, w+1, func(p Params) bool {
 			banded = append(banded, p)
 			return true
 		})
 	}
 	if !reflect.DeepEqual(whole, banded) {
-		t.Fatal("concatenated WidthBands(4) traversal differs from Grid order")
+		t.Fatal("concatenated single-row GridBand traversal differs from Grid order")
 	}
 }
 
-// scanCounters are the observer metrics that must match exactly between a
-// serial scan and a sharded one. (The best-cell gauges are excluded by
-// design: the serial scan tracks "best rate ever observed" per attempt,
-// while shards evaluate cells at merge granularity.)
+// scanCounters are the observer metrics that must match exactly between
+// scans at different worker counts, and between Obs's per-attempt
+// recording and flushed shards. (The best-cell gauges are excluded by
+// design: Obs tracks "best rate ever observed" per attempt, while shards
+// evaluate cells at merge granularity.)
 var scanCounters = []string{
 	MetricAttempts, MetricSuccesses, MetricSteps,
 	MetricGridTried, MetricGridHit, MetricCoverage,
@@ -127,13 +85,13 @@ func TestTable1WorkersMatchesSerial(t *testing.T) {
 	m := NewModel(7)
 	sobs, sreg := newScanObs()
 	m.Obs = sobs
-	serial, err := m.RunTable1(GuardWhileA)
+	serial, err := m.RunTable1(GuardWhileA, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pobs, preg := newScanObs()
 	m.Obs = pobs
-	parallel, err := m.RunTable1Workers(GuardWhileA, 3, nil)
+	parallel, err := m.RunTable1(GuardWhileA, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,11 +106,11 @@ func TestTable2WorkersMatchesSerial(t *testing.T) {
 		t.Skip("full grid scan")
 	}
 	m := NewModel(7)
-	serial, err := m.RunTable2(GuardWhileNeq)
+	serial, err := m.RunTable2(GuardWhileNeq, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := m.RunTable2Workers(GuardWhileNeq, 4, nil)
+	parallel, err := m.RunTable2(GuardWhileNeq, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,11 +124,11 @@ func TestTable3WorkersMatchesSerial(t *testing.T) {
 		t.Skip("full grid scan")
 	}
 	m := NewModel(7)
-	serial, err := m.RunTable3(GuardWhileNotA)
+	serial, err := m.RunTable3(GuardWhileNotA, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := m.RunTable3Workers(GuardWhileNotA, 2, nil)
+	parallel, err := m.RunTable3(GuardWhileNotA, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

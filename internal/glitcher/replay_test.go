@@ -80,13 +80,13 @@ func TestTable2ReplayMatchesFullRunScan(t *testing.T) {
 		t.Skip("full parameter scan")
 	}
 	m := NewModel(1)
-	want, err := m.RunTable2(GuardWhileNotA)
+	want, err := m.RunTable2(GuardWhileNotA, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mf := NewModel(1)
 	mf.FullRun = true
-	got, err := mf.RunTable2(GuardWhileNotA)
+	got, err := mf.RunTable2(GuardWhileNotA, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

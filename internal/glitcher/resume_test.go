@@ -19,7 +19,7 @@ func TestTable2ResumeByteIdentical(t *testing.T) {
 		t.Skip("full grid scan")
 	}
 	m := NewModel(7)
-	serial, err := m.RunTable2(GuardWhileNeq)
+	serial, err := m.RunTable2(GuardWhileNeq, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestTable2ResumeByteIdentical(t *testing.T) {
 			cancel()
 		}
 	}
-	_, runErr := m.RunTable2Workers(GuardWhileNeq, 3, rn)
+	_, runErr := m.RunTable2(GuardWhileNeq, 3, rn)
 	cancel()
 	if err := rn.Close(); err != nil {
 		t.Fatal(err)
@@ -54,7 +54,7 @@ func TestTable2ResumeByteIdentical(t *testing.T) {
 	if rn2.Loaded() < killAfter {
 		t.Fatalf("checkpoint lost rows: loaded %d, completed at least %d", rn2.Loaded(), killAfter)
 	}
-	resumed, err := m.RunTable2Workers(GuardWhileNeq, 2, rn2)
+	resumed, err := m.RunTable2(GuardWhileNeq, 2, rn2)
 	if err != nil {
 		t.Fatalf("resume failed: %v", err)
 	}

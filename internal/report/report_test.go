@@ -222,11 +222,11 @@ func TestParallelRendersIdentical(t *testing.T) {
 		return // the Table I grid scans are full-size
 	}
 	m := glitcher.NewModel(core.DefaultSeed)
-	st, err := m.RunTable1(glitcher.GuardWhileA)
+	st, err := m.RunTable1(glitcher.GuardWhileA, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt, err := m.RunTable1Workers(glitcher.GuardWhileA, 4, nil)
+	pt, err := m.RunTable1(glitcher.GuardWhileA, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,7 +77,7 @@ func TestTable2ReportByteIdenticalAfterResume(t *testing.T) {
 		t.Skip("full grid scan")
 	}
 	m := glitcher.NewModel(7)
-	serial, err := m.RunTable2(glitcher.GuardWhileA)
+	serial, err := m.RunTable2(glitcher.GuardWhileA, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestTable2ReportByteIdenticalAfterResume(t *testing.T) {
 	dir := t.TempDir()
 	manifest := runctl.Manifest{Tool: "report-test", ConfigHash: "sha256:t2", Seed: 7}
 	rn := killAfterUnits(t, dir, manifest, 25)
-	_, runErr := m.RunTable2Workers(glitcher.GuardWhileA, 4, rn)
+	_, runErr := m.RunTable2(glitcher.GuardWhileA, 4, rn)
 	if err := rn.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestTable2ReportByteIdenticalAfterResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := m.RunTable2Workers(glitcher.GuardWhileA, 2, rn2)
+	resumed, err := m.RunTable2(glitcher.GuardWhileA, 2, rn2)
 	if err != nil {
 		t.Fatalf("resume failed: %v", err)
 	}

@@ -23,7 +23,8 @@
 //
 // A nil *Run is valid everywhere and disables all three behaviors, so
 // engines thread a *Run unconditionally and bare library calls keep their
-// original semantics (no checkpoint files, panics crash loud).
+// original semantics (no checkpoint files, panics crash loud). Pool runs
+// an engine's work units under a Run on worker goroutines.
 package runctl
 
 import (
@@ -389,25 +390,28 @@ func (r *Run) Lookup(unit string, out any) bool {
 // appended and fsynced before Complete returns, so a crash at any later
 // instant cannot lose the unit. result must JSON-round-trip exactly (the
 // engines' count structs do), which is what makes a resumed merge
-// byte-identical to an uninterrupted run.
+// byte-identical to an uninterrupted run. A run without a directory
+// stores nothing; it only counts the unit and calls Hooks.AfterUnit.
 func (r *Run) Complete(unit string, result any) error {
 	if r == nil {
 		return nil
 	}
-	rec := record{Unit: unit}
-	if result != nil {
-		data, err := json.Marshal(result)
-		if err != nil {
-			return fmt.Errorf("runctl: checkpoint %q: %w", unit, err)
+	if r.dir != "" {
+		rec := record{Unit: unit}
+		if result != nil {
+			data, err := json.Marshal(result)
+			if err != nil {
+				return fmt.Errorf("runctl: checkpoint %q: %w", unit, err)
+			}
+			rec.Data = data
 		}
-		rec.Data = data
-	}
-	r.mu.Lock()
-	r.done[unit] = rec.Data
-	err := r.appendLocked(rec)
-	r.mu.Unlock()
-	if err != nil {
-		return err
+		r.mu.Lock()
+		r.done[unit] = rec.Data
+		err := r.appendLocked(rec)
+		r.mu.Unlock()
+		if err != nil {
+			return err
+		}
 	}
 	r.completed.Inc()
 	if r.Hooks.AfterUnit != nil {

@@ -6,9 +6,12 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"glitchlab/internal/obs"
 )
 
 func testManifest() Manifest {
@@ -273,6 +276,30 @@ func TestNilRunIsInert(t *testing.T) {
 		}
 	}()
 	_ = run.Protect("x", func() error { panic("loud") })
+}
+
+// TestNewRunStoresNothing pins New's contract: a cancellation-only run
+// checkpoints nothing, so Lookup misses even after Complete, while the
+// completed-units counter and AfterUnit still see every unit.
+func TestNewRunStoresNothing(t *testing.T) {
+	rn := New(context.Background())
+	var after []string
+	rn.Hooks.AfterUnit = func(u string) { after = append(after, u) }
+	completed := obs.Default.Counter(MetricUnitsCompleted)
+	before := completed.Value()
+	if err := rn.Complete("unit a", 7); err != nil {
+		t.Fatal(err)
+	}
+	var got int
+	if rn.Lookup("unit a", &got) {
+		t.Fatal("Lookup hit on a run without a directory")
+	}
+	if d := completed.Value() - before; d != 1 {
+		t.Fatalf("%s grew by %d, want 1", MetricUnitsCompleted, d)
+	}
+	if !reflect.DeepEqual(after, []string{"unit a"}) {
+		t.Fatalf("AfterUnit saw %v", after)
+	}
 }
 
 func TestExitCode(t *testing.T) {

@@ -7,10 +7,7 @@
 package search
 
 import (
-	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"glitchlab/internal/glitcher"
@@ -71,6 +68,7 @@ func New(m *glitcher.Model, g glitcher.Guard) (*Searcher, error) {
 	if err != nil {
 		return nil, err
 	}
+	t.FullRun = m.FullRun
 	m.Obs.AttachTarget(t)
 	return &Searcher{Model: m, Guard: g, target: t}, nil
 }
@@ -154,162 +152,5 @@ func (s *Searcher) FindRun(rn *runctl.Run) (*Result, error) {
 		}
 		return true
 	})
-	return res, rn.Err()
-}
-
-// Exhaust runs the coarse phase over the whole grid without early exit,
-// counting every success — used to reproduce the paper's search-cost
-// numbers (success counts across the full scan).
-func (s *Searcher) Exhaust() *Result {
-	res, _ := s.ExhaustWorkers(1, nil)
-	return res
-}
-
-// exhaustRow is one width row's share of the exhaustive coarse scan — the
-// checkpointed work unit. Fields are exported so rows JSON-round-trip
-// exactly.
-type exhaustRow struct {
-	Attempts, Successes, CoarseHits uint64
-}
-
-// attemptSink is the per-attempt observation target: the model's serial
-// observer or a worker's shard (both nil-safe).
-type attemptSink interface {
-	Attempt(p glitcher.Params, r pipeline.Result)
-}
-
-// ExhaustWorkers is Exhaust sharded across workers goroutines: the grid
-// is split into width rows, each scanned on a private cloned Target with
-// a private observer shard, and the per-row counts are summed — Attempts,
-// Successes and CoarseHits are identical to the serial scan's. workers <=
-// 1 runs the rows serially on the Searcher's own target.
-//
-// rn, when non-nil, threads the run controller through the scan: rows
-// already in the checkpoint are skipped, completed rows are checkpointed,
-// a panicking row is quarantined (the target rebuilt, the scan continues)
-// and cancellation is polled between rows; an interrupted scan returns
-// the counts of the completed rows with an error wrapping
-// runctl.ErrInterrupted.
-func (s *Searcher) ExhaustWorkers(workers int, rn *runctl.Run) (*Result, error) {
-	res := &Result{Guard: s.Guard}
-	start := time.Now()
-	defer s.Model.Obs.Span("search.exhaust", map[string]any{
-		"guard": s.Guard.String(),
-	}).End()
-
-	const rows = 2*glitcher.ParamRange + 1
-	rowKey := func(ri int) string {
-		return fmt.Sprintf("exhaust guard=%s width=%d", s.Guard, ri-glitcher.ParamRange)
-	}
-	rowRes := make([]exhaustRow, rows)
-	haveRow := make([]bool, rows)
-	var pending []int
-	for ri := 0; ri < rows; ri++ {
-		if rn.Lookup(rowKey(ri), &rowRes[ri]) {
-			haveRow[ri] = true
-			continue
-		}
-		pending = append(pending, ri)
-	}
-
-	scanRow := func(tgt *glitcher.Target, sink attemptSink, ri int) error {
-		key := rowKey(ri)
-		return rn.Protect(key, func() error {
-			var row exhaustRow
-			lo := ri - glitcher.ParamRange
-			glitcher.GridBand(lo, lo+1, func(p glitcher.Params) bool {
-				row.Attempts++
-				r := tgt.Attempt(s.Model.RangePlan(p, 0, coarseCycles))
-				sink.Attempt(p, r)
-				if r.Reason == pipeline.StopHit {
-					row.Successes++
-					row.CoarseHits++
-				}
-				return true
-			})
-			if err := rn.Complete(key, row); err != nil {
-				return err
-			}
-			rowRes[ri] = row
-			haveRow[ri] = true
-			return nil
-		})
-	}
-
-	if workers <= 1 {
-		tgt := s.target
-		for _, ri := range pending {
-			if rn.Err() != nil {
-				break
-			}
-			if err := scanRow(tgt, s.Model.Obs, ri); err != nil {
-				var pe *runctl.PanicError
-				if errors.As(err, &pe) {
-					// The board may be wedged mid-attempt; clone a fresh
-					// one and leave the row quarantined.
-					ws, nerr := New(s.Model, s.Guard)
-					if nerr != nil {
-						return nil, nerr
-					}
-					tgt = ws.target
-					continue
-				}
-				return nil, err
-			}
-		}
-	} else {
-		if workers > len(pending) {
-			workers = len(pending)
-		}
-		var next atomic.Int64
-		var firstErr atomic.Pointer[error]
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				ws, err := New(s.Model, s.Guard)
-				if err != nil {
-					firstErr.CompareAndSwap(nil, &err)
-					return
-				}
-				shard := s.Model.Obs.Shard()
-				defer shard.Flush()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(pending) || firstErr.Load() != nil || rn.Err() != nil {
-						return
-					}
-					if err := scanRow(ws.target, shard, pending[i]); err != nil {
-						var pe *runctl.PanicError
-						if errors.As(err, &pe) {
-							if ws, err = New(s.Model, s.Guard); err != nil {
-								firstErr.CompareAndSwap(nil, &err)
-								return
-							}
-							continue
-						}
-						firstErr.CompareAndSwap(nil, &err)
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		if errp := firstErr.Load(); errp != nil {
-			return nil, *errp
-		}
-	}
-
-	for ri, row := range rowRes {
-		if !haveRow[ri] {
-			continue
-		}
-		res.Attempts += row.Attempts
-		res.Successes += row.Successes
-		res.CoarseHits += row.CoarseHits
-	}
-	res.Elapsed = time.Since(start)
-	res.Found = res.CoarseHits > 0
 	return res, rn.Err()
 }

@@ -91,12 +91,9 @@ func TestFindCycleWithinLoop(t *testing.T) {
 // TestFindStopsAfterSuccess is the regression test for the full-grid
 // iteration bug: Find used to keep walking the remaining parameter points
 // after locating a reliable point, burning one coarse attempt on each. A
-// successful search must attempt strictly fewer points than an
-// exhaustive coarse scan of the whole grid plus the narrowing overhead.
+// successful search must fire strictly fewer attempts than an exhaustive
+// coarse scan, which attempts every grid point once.
 func TestFindStopsAfterSuccess(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-grid coarse scan")
-	}
 	m := glitcher.NewModel(1)
 	s, err := New(m, glitcher.GuardWhileA)
 	if err != nil {
@@ -106,62 +103,25 @@ func TestFindStopsAfterSuccess(t *testing.T) {
 	if !res.Found {
 		t.Fatalf("no reliable point found: %s", res)
 	}
-	e, err := New(m, glitcher.GuardWhileA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exhaust := e.Exhaust()
-	if res.Attempts >= exhaust.Attempts {
+	if res.Attempts >= glitcher.GridSize {
 		t.Errorf("Find fired %d attempts, not fewer than the %d of a full coarse scan — grid not stopped on success",
-			res.Attempts, exhaust.Attempts)
+			res.Attempts, glitcher.GridSize)
 	}
 }
 
-func TestExhaustCountsSuccesses(t *testing.T) {
-	m := glitcher.NewModel(1)
-	s, err := New(m, glitcher.GuardWhileA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := s.Exhaust()
-	if res.Attempts != glitcher.GridSize {
-		t.Fatalf("attempts = %d, want %d", res.Attempts, glitcher.GridSize)
-	}
-	if res.CoarseHits == 0 {
-		t.Fatal("coarse scan found no successes")
-	}
-	if res.CoarseHits != res.Successes {
-		t.Fatalf("hits %d != successes %d", res.CoarseHits, res.Successes)
-	}
-}
-
-func TestExhaustWorkersMatchesSerial(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-grid coarse scans")
-	}
-	m := glitcher.NewModel(1)
-	s, err := New(m, glitcher.GuardWhileA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial := s.Exhaust()
-	for _, workers := range []int{2, 4} {
-		ps, err := New(m, glitcher.GuardWhileA)
+// TestNewCopiesFullRun pins that a searcher attempts on a full-run target
+// exactly when its model asks for full runs, so glitchscan -full-run
+// reaches the Section V-B search as well as the scans.
+func TestNewCopiesFullRun(t *testing.T) {
+	for _, full := range []bool{false, true} {
+		m := glitcher.NewModel(1)
+		m.FullRun = full
+		s, err := New(m, glitcher.GuardWhileA)
 		if err != nil {
 			t.Fatal(err)
 		}
-		parallel, err := ps.ExhaustWorkers(workers, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if parallel.Attempts != serial.Attempts ||
-			parallel.Successes != serial.Successes ||
-			parallel.CoarseHits != serial.CoarseHits ||
-			parallel.Found != serial.Found {
-			t.Errorf("workers=%d: got %d/%d/%d found=%v, want %d/%d/%d found=%v",
-				workers, parallel.Attempts, parallel.Successes, parallel.CoarseHits,
-				parallel.Found, serial.Attempts, serial.Successes, serial.CoarseHits,
-				serial.Found)
+		if s.target.FullRun != full {
+			t.Errorf("model FullRun=%v: searcher target FullRun=%v", full, s.target.FullRun)
 		}
 	}
 }

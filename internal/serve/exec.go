@@ -28,8 +28,8 @@ import (
 // their flags; the daemon builds one per job with its worker budget and
 // per-job tracer.
 type Env struct {
-	// Workers shards the engines across goroutines (<= 1 runs serially;
-	// results are identical either way).
+	// Workers shards the engines across goroutines (<= 1 runs one worker;
+	// results are identical at any count).
 	Workers int
 	// FullRun disables trigger-point snapshot replay (slower,
 	// byte-identical results).
