@@ -17,7 +17,6 @@ import (
 	"glitchlab/internal/isa"
 	"glitchlab/internal/mutate"
 	"glitchlab/internal/obs"
-	"glitchlab/internal/obs/profile"
 	"glitchlab/internal/passes"
 	"glitchlab/internal/pipeline"
 	"glitchlab/internal/search"
@@ -100,36 +99,6 @@ func BenchmarkCampaignInstrumented(b *testing.B) {
 	}
 }
 
-// BenchmarkCampaignProfiled is the same sweep with phase attribution
-// sampling at the default 1-in-64 rate — the configuration `-profile`
-// runs in. A profiled run executes every mask for real (a sampled
-// execution's cost stands in for 63 unsampled ones, so none may be a
-// memo hit); the profiler's own cost on top of that is one increment and
-// one compare per execution plus four clock reads per sampled one —
-// compare against BenchmarkCampaignInstrumented, which runs the same
-// unmemoized replay (see BENCH_profile.json).
-func BenchmarkCampaignProfiled(b *testing.B) {
-	skipIfShort(b)
-	r, err := campaign.NewRunner(isa.EQ, false)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := profile.New(0) // calibrates before the timer starts
-	sh := p.Shard()
-	r.Prof = sh
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if res := r.Sweep(mutate.AND, 2); res.Runs == 0 {
-			b.Fatal("empty sweep")
-		}
-	}
-	b.StopTimer()
-	sh.Flush()
-	if rep := p.Report(); rep.Execs == 0 {
-		b.Fatal("profiler saw no executions")
-	}
-}
-
 // BenchmarkCampaignParallel measures the worker-sharded campaign engine
 // against its serial baseline: the full Figure 2 pipeline (all 14 branch
 // conditions, k = 0..5, ~96k mutated executions) at 1, 2, 4 and 8
@@ -138,7 +107,8 @@ func BenchmarkCampaignProfiled(b *testing.B) {
 // TestHotPathSpeedupClaim pins the >=5x ratio between the two). Since
 // snapshot replay and memoization shrank a full unit to ~1ms, sharding
 // overhead roughly cancels the parallel win on this workload; -workers
-// still pays off for -full-run, observed and profiled runs.
+// still pays off for -full-run and observed runs, which execute every
+// mask.
 func BenchmarkCampaignParallel(b *testing.B) {
 	skipIfShort(b)
 	for _, workers := range []int{1, 2, 4, 8} {
@@ -268,7 +238,11 @@ func BenchmarkParamSearch(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res := s.Find(); !res.Found {
+		res, err := s.FindRun(nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.Found {
 			b.Fatal("search failed")
 		}
 	}

@@ -16,8 +16,8 @@ go vet ./...
 go build ./...
 go test -race -short ./...
 
-# Observability gates: hammer the metrics registry, tracer, profiler and
-# trace analytics under the race detector (this includes
+# Observability gates: hammer the metrics registry, tracer, -cpuprofile
+# session and trace analytics under the race detector (this includes
 # TestServeDuringShardedCampaign, which scrapes the live /metrics
 # endpoints while a worker-sharded campaign flushes its observer shards)
 # and smoke-test the -serve HTTP surface end to end.
@@ -92,6 +92,15 @@ cmp "$tmp/section5.txt" results/section5.txt
 # snapshot.
 "$tmp/glitchscan" -workers 2 -full-run -out "$tmp/section5_fullrun.txt"
 cmp "$tmp/section5_fullrun.txt" results/section5.txt
+# -cpuprofile attaches no observer, so a profiled scan runs the production
+# path: same bytes, and the profile names the emulator's step loop.
+"$tmp/glitchscan" -workers 2 -cpuprofile "$tmp/scan.pprof" -out "$tmp/section5_prof.txt"
+cmp "$tmp/section5_prof.txt" results/section5.txt
+if ! go tool pprof -top "$tmp/glitchscan" "$tmp/scan.pprof" 2>/dev/null |
+	grep -qF 'emu.(*CPU).step'; then
+	echo "ci: glitchscan -cpuprofile does not list emu.(*CPU).step" >&2
+	exit 1
+fi
 "$tmp/glitcheval" -workers 2 -out "$tmp/section7.txt"
 cmp "$tmp/section7.txt" results/section7.txt
 
@@ -247,16 +256,21 @@ go test -race -run TestClientHammerUnderChaos ./internal/serve/client/
 # filesystem op must exit with the chaos status (4), publish no results
 # file, and leave a state the unfaulted resume completes from with bytes
 # identical to the clean golden — the crash-consistency contract at the
-# CLI surface.
+# CLI surface. The crash exits from inside the fault injector, past the
+# CLI's deferred cleanup, and must still leave a readable -cpuprofile.
 status=0
 "$tmp/glitchemu" -workers 2 -run-dir "$tmp/chaosrun" -chaos-crash-op 60 \
-	-out "$tmp/chaos_partial.txt" 2>/dev/null || status=$?
+	-cpuprofile "$tmp/chaos.pprof" -out "$tmp/chaos_partial.txt" 2>/dev/null || status=$?
 if [ "$status" -ne 4 ]; then
 	echo "ci: chaos-crashed run exited $status, want 4" >&2
 	exit 1
 fi
 if [ -e "$tmp/chaos_partial.txt" ]; then
 	echo "ci: chaos-crashed run must not publish a results file" >&2
+	exit 1
+fi
+if ! go tool pprof -top "$tmp/glitchemu" "$tmp/chaos.pprof" >/dev/null 2>&1; then
+	echo "ci: chaos-crashed run left an unreadable CPU profile" >&2
 	exit 1
 fi
 "$tmp/glitchemu" -workers 2 -run-dir "$tmp/chaosrun" -resume \

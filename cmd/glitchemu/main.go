@@ -10,7 +10,7 @@
 //	glitchemu -max-flips 4         # partial sweep (cheaper)
 //	glitchemu -workers 1           # serial run (default: one worker per CPU)
 //	glitchemu -metrics             # print a metrics snapshot afterwards
-//	glitchemu -profile             # phase-attribution report (sampled)
+//	glitchemu -cpuprofile c.pprof  # Go CPU profile (go tool pprof -top)
 //	glitchemu -trace c.jsonl       # structured JSONL trace of the campaign
 //	glitchemu -serve :8080         # live /metrics and /debug/pprof
 //	glitchemu -out results.txt     # write the tables atomically to a file
@@ -36,7 +36,6 @@ import (
 
 	"glitchlab/internal/campaign"
 	"glitchlab/internal/obs"
-	"glitchlab/internal/obs/profile"
 	"glitchlab/internal/report"
 	"glitchlab/internal/runctl"
 	"glitchlab/internal/serve"
@@ -62,10 +61,6 @@ func run() error {
 	fullRun := flag.Bool("full-run", false,
 		"re-simulate the harness prologue on every execution instead of replaying "+
 			"from the trigger-point snapshot (slower; results are byte-identical)")
-	profFlag := flag.Bool("profile", false,
-		"sample phase attribution on the hot path and print the cost report")
-	profEvery := flag.Int("profile-every", profile.DefaultSample,
-		"time one execution in every N when -profile is set")
 	cli := obs.RegisterCLIFlags(flag.CommandLine)
 	rcli := runctl.RegisterCLIFlags(flag.CommandLine)
 	flag.Parse()
@@ -99,17 +94,11 @@ func run() error {
 	defer rn.Close()
 	rn.Tracer = sess.Tracer
 
-	var prof *profile.Profile
-	if *profFlag {
-		prof = profile.New(*profEvery)
-	}
-
 	env := serve.Env{
 		Workers:  *workers,
 		FullRun:  *fullRun,
 		Tracer:   sess.Tracer,
 		Progress: sess.Progress,
-		Prof:     prof,
 		Run:      rn,
 	}
 	if cli.Enabled() {
@@ -125,9 +114,6 @@ func run() error {
 	}
 	if err := out.Commit(); err != nil {
 		return err
-	}
-	if prof != nil {
-		fmt.Println(report.Profile(prof.Report()))
 	}
 	sess.DumpMetrics(os.Stdout, report.Metrics)
 	return nil

@@ -16,6 +16,7 @@
 //	glitcheval -exp table6 -seed 7
 //	glitcheval -exp lint
 //	glitcheval -exp figure2 -metrics -trace run.jsonl
+//	glitcheval -exp table6 -cpuprofile t6.pprof  # Go CPU profile (go tool pprof -top)
 //	glitcheval -exp table6 -out results.txt      # atomic results file
 //	glitcheval -exp table6 -run-dir d -deadline 30m
 //	glitcheval -exp table6 -run-dir d -resume

@@ -10,7 +10,7 @@
 //	glitchscan -seed 7         # a different fault-model landscape
 //	glitchscan -workers 1      # serial scans (default: one worker per CPU)
 //	glitchscan -metrics        # print a metrics snapshot afterwards
-//	glitchscan -profile        # phase-attribution report (sampled)
+//	glitchscan -cpuprofile s.pprof       # Go CPU profile (go tool pprof -top)
 //	glitchscan -trace s.jsonl  # structured JSONL trace of the scan
 //	glitchscan -serve :8080    # live /metrics and /debug/pprof
 //	glitchscan -out results.txt          # write the tables atomically
@@ -38,7 +38,6 @@ import (
 	"glitchlab/internal/campaign"
 	"glitchlab/internal/core"
 	"glitchlab/internal/obs"
-	"glitchlab/internal/obs/profile"
 	"glitchlab/internal/report"
 	"glitchlab/internal/runctl"
 	"glitchlab/internal/serve"
@@ -61,10 +60,6 @@ func run() error {
 	fullRun := flag.Bool("full-run", false,
 		"reset and re-run the boot prologue on every attempt instead of replaying "+
 			"from the trigger-point snapshot (slower; results are byte-identical)")
-	profFlag := flag.Bool("profile", false,
-		"sample phase attribution on the hot path and print the cost report")
-	profEvery := flag.Int("profile-every", profile.DefaultSample,
-		"time one attempt in every N when -profile is set")
 	cli := obs.RegisterCLIFlags(flag.CommandLine)
 	rcli := runctl.RegisterCLIFlags(flag.CommandLine)
 	flag.Parse()
@@ -94,17 +89,11 @@ func run() error {
 	defer rn.Close()
 	rn.Tracer = sess.Tracer
 
-	var prof *profile.Profile
-	if *profFlag {
-		prof = profile.New(*profEvery)
-	}
-
 	env := serve.Env{
 		Workers:  *workers,
 		FullRun:  *fullRun,
 		Tracer:   sess.Tracer,
 		Progress: sess.Progress,
-		Prof:     prof,
 		Run:      rn,
 	}
 	if cli.Enabled() {
@@ -120,9 +109,6 @@ func run() error {
 	}
 	if err := out.Commit(); err != nil {
 		return err
-	}
-	if prof != nil {
-		fmt.Println(report.Profile(prof.Report()))
 	}
 	if cli.Metrics {
 		sess.DumpMetrics(os.Stdout, report.Metrics)

@@ -31,7 +31,10 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		res := s.Find()
+		res, err := s.FindRun(nil)
+		if err != nil {
+			return err
+		}
 		fmt.Println(res)
 		if !res.Found {
 			continue

@@ -12,7 +12,6 @@ import (
 	"glitchlab/internal/emu"
 	"glitchlab/internal/isa"
 	"glitchlab/internal/mutate"
-	"glitchlab/internal/obs/profile"
 	"glitchlab/internal/runctl"
 )
 
@@ -163,9 +162,9 @@ type Runner struct {
 	// memo caches outcomes per mutated word (ARMORY-style convergence
 	// pruning, ROADMAP item 2c at word granularity): under replay every
 	// execution of the same word starts from the identical snapshot, so
-	// its outcome is a pure function of the word. Only the bare path uses
-	// it — observed or profiled runs execute every mask for real, so
-	// traces, histograms and phase attribution are never synthesized.
+	// its outcome is a pure function of the word. Only unobserved runs use
+	// it — observed runs execute every mask for real, so traces and
+	// histograms are never synthesized.
 	memo []uint8 // word -> Outcome+1; 0 = not yet simulated
 
 	// FullRun disables trigger-point replay and memoization: every
@@ -176,13 +175,6 @@ type Runner struct {
 	// Obs instruments every execution when non-nil; the nil default keeps
 	// the sweep hot path bare.
 	Obs *Observer
-
-	// Prof, when non-nil, samples phase attribution: one execution in
-	// every profile.DefaultSample (or the profile's own interval) is
-	// timed through assemble/execute/classify with the decode share
-	// split out by calibrated unit cost. The unsampled path pays one
-	// plain increment.
-	Prof *profile.Shard
 }
 
 // NewRunner assembles the snippet for cond and prepares an emulator.
@@ -294,14 +286,9 @@ func (r *Runner) restoreBranch() {
 // (sweepFlips, RunOne) holds the single deferred restoreBranch that makes
 // restoration panic-safe without a per-execution defer closure.
 func (r *Runner) runOne(word uint16) (Outcome, *emu.Fault) {
-	if r.Prof.Sample() {
-		return r.runOneProfiled(word)
-	}
-	// Memoization would falsify observation and attribution: observed runs
-	// must produce a real trace record per mask, and a profiler's sampled
-	// executions extrapolate over the unsampled ones, which must therefore
-	// cost the same. Both modes run every mask for real.
-	memo := !r.FullRun && r.Obs == nil && r.Prof == nil
+	// Memoization would falsify observation: observed runs must produce a
+	// real trace record per mask, so they run every mask for real.
+	memo := !r.FullRun && r.Obs == nil
 	if memo {
 		if r.memo == nil {
 			r.memo = make([]uint8, 1<<16)
@@ -331,40 +318,6 @@ func (r *Runner) execute() (Outcome, *emu.Fault) {
 		err = r.cpu.Run(r.stop, maxSteps-r.snap.Steps)
 	}
 	return classify(r.cpu, err)
-}
-
-// runOneProfiled is runOne with phase timing: the mutated-image write plus
-// snapshot restore (or CPU reset under FullRun) is the assemble phase, the
-// emulator run the execute phase (with the decode share split out by
-// calibrated unit cost times the instructions this run actually retired,
-// capped by the measured run time), and outcome classification the
-// classify phase. Only sampled executions come here; memoization never
-// does — a profiled sample must measure a real execution.
-func (r *Runner) runOneProfiled(word uint16) (Outcome, *emu.Fault) {
-	t := r.Prof.Start()
-	r.flash.Data[r.branchOff] = byte(word)
-	r.flash.Data[r.branchOff+1] = byte(word >> 8)
-	var err error
-	if r.FullRun {
-		r.cpu.Reset(stackTop, flashBase)
-		t.Mark(profile.PhaseAssemble)
-		err = r.cpu.Run(r.stop, maxSteps)
-	} else {
-		r.cpu.SetState(r.snap)
-		r.memSnap.Restore()
-		t.Mark(profile.PhaseAssemble)
-		err = r.cpu.Run(r.stop, maxSteps-r.snap.Steps)
-	}
-	execNs := t.Mark(profile.PhaseExecute)
-	out, fault := classify(r.cpu, err)
-	t.Mark(profile.PhaseClassify)
-	steps := r.cpu.Steps
-	if !r.FullRun {
-		steps -= r.snap.Steps // only the replayed window was decoded
-	}
-	r.Prof.Split(profile.PhaseExecute, profile.PhaseDecode,
-		r.Prof.DecodeEst(steps), execNs)
-	return out, fault
 }
 
 func classify(c *emu.CPU, err error) (Outcome, *emu.Fault) {
@@ -518,13 +471,6 @@ type Config struct {
 	// totals do not depend on the worker count.
 	Obs *Observer
 
-	// Profile, when non-nil, attributes the campaign's cost to execution
-	// phases by sampling (see internal/obs/profile): every worker records
-	// into its own shard and the wall-clock bracket spans exactly this
-	// Run call, so Profile.Report's coverage check is meaningful. The
-	// same Profile may accumulate several Run calls.
-	Profile *profile.Profile
-
 	// Run, when non-nil, is the run controller: cancellation is checked
 	// between (condition, flip-count) work units, every completed unit is
 	// checkpointed (and skipped on resume), and a panicking unit is
@@ -580,8 +526,6 @@ func Run(cfg Config) ([]CondResult, error) {
 			"workers":      cfg.Workers,
 		}).End()
 	}
-	cfg.Profile.Begin()
-	defer cfg.Profile.End()
 	results, err := runUnits(cfg)
 	if err != nil {
 		return results, err

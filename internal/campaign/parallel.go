@@ -57,7 +57,6 @@ func runUnits(cfg Config) ([]CondResult, error) {
 		Workers: cfg.Workers,
 		Start: func() (func(int) (FlipResult, error), func(), error) {
 			shard := cfg.Obs.Shard()
-			psh := cfg.Profile.Shard()
 			// One runner per condition per worker: rebuilding it for
 			// every flip-count unit of the same condition would redo the
 			// assembly and prologue and drop the word memo.
@@ -71,7 +70,6 @@ func runUnits(cfg Config) ([]CondResult, error) {
 						return FlipResult{}, err
 					}
 					r.Obs = shard
-					r.Prof = psh
 					if shard != nil {
 						shard.attach(r.cpu)
 					}
@@ -79,7 +77,7 @@ func runUnits(cfg Config) ([]CondResult, error) {
 				}
 				return r.sweepFlips(cfg.Model, u.flips), nil
 			}
-			return run, func() { shard.flush(); psh.Flush() }, nil
+			return run, shard.flush, nil
 		},
 		Emit: func(i int, fr FlipResult) {
 			u := units[i]

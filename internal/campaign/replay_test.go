@@ -8,7 +8,6 @@ import (
 
 	"glitchlab/internal/isa"
 	"glitchlab/internal/mutate"
-	"glitchlab/internal/obs/profile"
 	"glitchlab/internal/runctl"
 )
 
@@ -133,17 +132,13 @@ func checkPristine(t *testing.T, r *Runner, path string) {
 	}
 }
 
-// TestPanicRestoresPristineImageProfiled is the mutation-restore regression
-// test for the profiled path: a panic raised mid-execution (from a CPU
-// hook) while a sampled, profiled execution is running must not leak the
-// mutated branch halfword into flash once runctl's Protect has recovered
-// the unit. The pre-fix runOneProfiled restored the halfword only on the
-// non-panicking path, so this test fails against it.
-func TestPanicRestoresPristineImageProfiled(t *testing.T) {
+// TestPanicRestoresPristineImageProtected is the mutation-restore
+// regression test under the run controller: a panic raised mid-execution
+// (from a CPU hook) must not leak the mutated branch halfword into flash
+// once runctl's Protect has recovered the unit, so the runner a
+// quarantined unit leaves behind still holds the pristine image.
+func TestPanicRestoresPristineImageProtected(t *testing.T) {
 	r := panicHookRunner(t)
-	p := profile.New(1) // every execution sampled -> profiled path
-	r.Prof = p.Shard()
-
 	rn, err := runctl.Open(context.Background(), t.TempDir(), resumeManifest(), false)
 	if err != nil {
 		t.Fatal(err)
@@ -157,13 +152,13 @@ func TestPanicRestoresPristineImageProfiled(t *testing.T) {
 	if !errors.As(err, &pe) {
 		t.Fatalf("Protect returned %v, want PanicError", err)
 	}
-	checkPristine(t, r, "profiled sweep")
+	checkPristine(t, r, "protected sweep")
 }
 
-// TestPanicRestoresPristineImageBare covers the same invariant on the
-// unprofiled paths, which now share the unit-level deferred restore instead
-// of a per-execution defer closure: both a sweep unit and a lone RunOne
-// must leave flash pristine when the execution panics.
+// TestPanicRestoresPristineImageBare covers the same invariant without a
+// run controller, where the panic propagates: the unit-level deferred
+// restore (not a per-execution defer closure) must leave flash pristine
+// after both a sweep unit and a lone RunOne panic.
 func TestPanicRestoresPristineImageBare(t *testing.T) {
 	r := panicHookRunner(t)
 	func() {

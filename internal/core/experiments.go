@@ -6,7 +6,6 @@ import (
 	"glitchlab/internal/campaign"
 	"glitchlab/internal/glitcher"
 	"glitchlab/internal/mutate"
-	"glitchlab/internal/obs/profile"
 	"glitchlab/internal/runctl"
 	"glitchlab/internal/search"
 )
@@ -16,17 +15,15 @@ import (
 const DefaultSeed = 1
 
 // RunFigure2 executes one Figure 2 emulation campaign variant. o, when
-// non-nil, instruments every execution (pass nil for a bare run). prof,
-// when non-nil, samples phase attribution for the campaign's hot path
-// (several variants may share one profile; their wall-clock brackets
-// sum). workers shards the campaign across goroutines (<= 1 runs one
-// worker), and the results are identical at any count. fullRun disables
-// trigger-point snapshot replay, re-simulating the harness prologue on
-// every mutated execution — results are byte-identical either way (the
-// ci.sh replay gate cmp-proves it on rendered output). rn, when non-nil,
-// threads the run controller through the campaign: cancellation between
-// work units, per-unit checkpointing with resume, and panic quarantine.
-func RunFigure2(model mutate.Model, zeroInvalid bool, maxFlips, workers int, fullRun bool, o *campaign.Observer, prof *profile.Profile, rn *runctl.Run) ([]campaign.CondResult, error) {
+// non-nil, instruments every execution (pass nil for a bare run). workers
+// shards the campaign across goroutines (<= 1 runs one worker), and the
+// results are identical at any count. fullRun disables trigger-point
+// snapshot replay, re-simulating the harness prologue on every mutated
+// execution — results are byte-identical either way (the ci.sh replay
+// gate cmp-proves it on rendered output). rn, when non-nil, threads the
+// run controller through the campaign: cancellation between work units,
+// per-unit checkpointing with resume, and panic quarantine.
+func RunFigure2(model mutate.Model, zeroInvalid bool, maxFlips, workers int, fullRun bool, o *campaign.Observer, rn *runctl.Run) ([]campaign.CondResult, error) {
 	return campaign.Run(campaign.Config{
 		Model:       model,
 		ZeroInvalid: zeroInvalid,
@@ -34,7 +31,6 @@ func RunFigure2(model mutate.Model, zeroInvalid bool, maxFlips, workers int, ful
 		FullRun:     fullRun,
 		Workers:     workers,
 		Obs:         o,
-		Profile:     prof,
 		Run:         rn,
 	})
 }
@@ -44,7 +40,7 @@ func RunFigure2(model mutate.Model, zeroInvalid bool, maxFlips, workers int, ful
 // with permanently-undefined instructions, testing the paper's hypothesis
 // that "adding invalid instructions in between valid instructions would
 // likely thwart many glitching attempts".
-func RunUDFHardening(model mutate.Model, maxFlips, workers int, fullRun bool, o *campaign.Observer, prof *profile.Profile, rn *runctl.Run) ([]campaign.CondResult, error) {
+func RunUDFHardening(model mutate.Model, maxFlips, workers int, fullRun bool, o *campaign.Observer, rn *runctl.Run) ([]campaign.CondResult, error) {
 	return campaign.Run(campaign.Config{
 		Model:    model,
 		PadUDF:   true,
@@ -52,7 +48,6 @@ func RunUDFHardening(model mutate.Model, maxFlips, workers int, fullRun bool, o 
 		FullRun:  fullRun,
 		Workers:  workers,
 		Obs:      o,
-		Profile:  prof,
 		Run:      rn,
 	})
 }

@@ -26,7 +26,6 @@ import (
 	"sync"
 
 	"glitchlab/internal/isa"
-	"glitchlab/internal/obs/profile"
 	"glitchlab/internal/pipeline"
 )
 
@@ -58,13 +57,6 @@ type Model struct {
 	// Obs, when non-nil, instruments every scan and search driven through
 	// this model (attempt/success counters, grid coverage, trace records).
 	Obs *Obs
-
-	// Prof, when non-nil, samples phase attribution for every attempt
-	// driven through this model's scans: board reset (assemble), the
-	// pipeline's glitch-window mapping (trigger-replay) and the emulated
-	// run (execute, with the decode share split out by calibrated unit
-	// cost). Each scan worker records into its own shard.
-	Prof *profile.Profile
 
 	// FullRun makes every scan target re-simulate the boot prologue on
 	// each attempt instead of replaying from the trigger-point snapshot.

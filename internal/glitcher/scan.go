@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"glitchlab/internal/firmware"
-	"glitchlab/internal/obs/profile"
 	"glitchlab/internal/pipeline"
 	"glitchlab/internal/runctl"
 )
@@ -26,11 +25,6 @@ type Target struct {
 	Guard   Guard
 	Board   *firmware.Board
 	Machine *pipeline.Machine
-
-	// Prof, when non-nil, samples phase attribution for attempts on this
-	// target (one timed attempt in every sampling interval; the rest pay
-	// one increment). Scan workers each set their own shard.
-	Prof *profile.Shard
 
 	// FullRun disables trigger-point snapshot/replay, re-simulating the
 	// boot prologue on every attempt. Results are byte-identical either
@@ -78,59 +72,12 @@ func (t *Target) snapshot() *pipeline.Snapshot {
 // Attempt rewinds the board to the trigger point (or resets it, on the
 // full-run path) and runs one glitch attempt.
 func (t *Target) Attempt(inj pipeline.Injector) pipeline.Result {
-	if t.Prof.Sample() {
-		return t.attemptProfiled(inj)
-	}
 	t.Machine.Glitch = inj
 	if s := t.snapshot(); s != nil {
 		return t.Machine.RunFrom(s, attemptBudget)
 	}
 	t.Board.Reset()
 	return t.Machine.Run(attemptBudget)
-}
-
-// attemptProfiled is Attempt with phase timing: the snapshot restore (or
-// board reset, on the full-run path) is the assemble phase and the machine
-// run the execute phase, out of which the pipeline's glitch-window mapping
-// (measured via pipeline.ReplayProf, corrected for its own clock-read
-// overhead) and the calibrated decode share are split. Scan outcome
-// bookkeeping happens in the scan drivers and is not attributed — it is a
-// few map updates per success.
-func (t *Target) attemptProfiled(inj pipeline.Injector) pipeline.Result {
-	s := t.snapshot()
-	tm := t.Prof.Start()
-	t.Machine.Glitch = inj
-	if s != nil {
-		t.Machine.RestoreSnapshot(s)
-	} else {
-		t.Board.Reset()
-	}
-	tm.Mark(profile.PhaseAssemble)
-	var rp pipeline.ReplayProf
-	t.Machine.Replay = &rp
-	var r pipeline.Result
-	if s != nil {
-		r = t.Machine.Resume(attemptBudget)
-	} else {
-		r = t.Machine.Run(attemptBudget)
-	}
-	t.Machine.Replay = nil
-	execNs := tm.Mark(profile.PhaseExecute)
-	// The per-slot replay measurement itself costs a time.Now/Since pair
-	// per timed slot, all of it inside the execute mark just taken;
-	// remove that instrumentation overhead before splitting the real
-	// work out.
-	execNs -= t.Prof.Discount(profile.PhaseExecute,
-		int64(rp.Ops)*t.Prof.PairOverheadNs(), execNs)
-	replayNs := rp.Ns - int64(rp.Ops)*t.Prof.ClockOverheadNs()
-	moved := t.Prof.Split(profile.PhaseExecute, profile.PhaseReplay, replayNs, execNs)
-	steps := r.Steps
-	if s != nil {
-		steps -= s.Steps() // prologue instructions were not re-executed
-	}
-	t.Prof.Split(profile.PhaseExecute, profile.PhaseDecode,
-		t.Prof.DecodeEst(steps), execNs-moved)
-	return r
 }
 
 // CleanRun verifies the firmware loops forever when not glitched.
@@ -328,13 +275,13 @@ func (m *Model) RunTable1(g Guard, workers int, rn *runctl.Run) (*Table1Result, 
 // runRows drives one guard scan over the grid on a runctl.Pool: a width
 // row (one width, every offset, every cell) is the unit of work. Every
 // worker has its own Target (boards are mutable, so none is ever shared),
-// rebuilt after a quarantine, and its own observer and profile shards,
-// flushed when it exits. scan must return one cell per scanned unit (cycle
-// or range index), in the same order for every row; rows are summed
-// ascending with mergeCell into cells seeded by newCell, which makes the
-// final counts independent of the worker count — and of how a
-// checkpointed run was split across interruptions, since the unit is a
-// property of the grid, not of the schedule.
+// rebuilt after a quarantine, and its own observer shard, flushed when it
+// exits. scan must return one cell per scanned unit (cycle or range
+// index), in the same order for every row; rows are summed ascending
+// with mergeCell into cells seeded by newCell, which makes the final
+// counts independent of the worker count — and of how a checkpointed run
+// was split across interruptions, since the unit is a property of the
+// grid, not of the schedule.
 //
 // rn, when non-nil, threads the run controller through the scan: rows are
 // skipped when the checkpoint already holds them with the right cell
@@ -346,9 +293,6 @@ func runRows[T any](m *Model, g Guard, src string, workers int,
 	rn *runctl.Run, exp string, cells int, newCell func(i int) T,
 	scan func(t *Target, lo, hi int, sink *ObsShard) []T,
 	mergeCell func(dst *T, part T)) ([]T, error) {
-
-	m.Prof.Begin()
-	defer m.Prof.End()
 
 	keys := make([]string, 2*ParamRange+1)
 	for ri := range keys {
@@ -368,13 +312,12 @@ func runRows[T any](m *Model, g Guard, src string, workers int,
 			}
 			t.FullRun = m.FullRun
 			m.Obs.AttachTarget(t)
-			t.Prof = m.Prof.Shard()
 			shard := m.Obs.Shard()
 			row := func(ri int) ([]T, error) {
 				lo := ri - ParamRange
 				return scan(t, lo, lo+1, shard), nil
 			}
-			return row, func() { shard.Flush(); t.Prof.Flush() }, nil
+			return row, shard.Flush, nil
 		},
 		Restored: func(part []T) bool { return len(part) == cells },
 		Emit: func(_ int, part []T) {

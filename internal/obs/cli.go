@@ -6,17 +6,19 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"runtime/pprof"
 )
 
 // CLIFlags is the shared observability flag set of the experiment CLIs
-// (glitchemu, glitchscan, glitcheval): -metrics, -trace, -serve and the
-// trace tuning knobs.
+// (glitchemu, glitchscan, glitcheval): -metrics, -trace, -serve, the
+// trace tuning knobs and -cpuprofile.
 type CLIFlags struct {
-	Metrics   bool
-	TracePath string
-	ServeAddr string
-	Sample    int
-	RingSize  int
+	Metrics    bool
+	TracePath  string
+	ServeAddr  string
+	Sample     int
+	RingSize   int
+	CPUProfile string
 }
 
 // RegisterCLIFlags registers the shared observability flags on fs.
@@ -32,10 +34,15 @@ func RegisterCLIFlags(fs *flag.FlagSet) *CLIFlags {
 		"keep one trace event record in every N executions")
 	fs.IntVar(&f.RingSize, "trace-failures", DefaultFailureRing,
 		"post-mortem ring: keep the last N failed executions in the trace")
+	fs.StringVar(&f.CPUProfile, "cpuprofile", "",
+		"write a Go CPU profile of the run to this file (read it with go tool pprof)")
 	return f
 }
 
-// Enabled reports whether any observability output was requested.
+// Enabled reports whether any observer output was requested. -cpuprofile
+// does not count: the CPU profiler samples the process from outside the
+// engines, so a profiled run attaches no observer and executes exactly
+// the unobserved path, memoization included.
 func (f *CLIFlags) Enabled() bool {
 	return f.Metrics || f.TracePath != "" || f.ServeAddr != ""
 }
@@ -48,11 +55,13 @@ type Session struct {
 
 	traceFile *os.File
 	srv       *http.Server
+	profFile  *os.File
 }
 
-// Start opens the trace sink and the serve endpoint per the flags,
-// recording into reg (pass Default to share the compiler pipeline's
-// metrics). Always returns a usable session; Close must be called.
+// Start opens the trace sink and the serve endpoint and starts the CPU
+// profile per the flags, recording into reg (pass Default to share the
+// compiler pipeline's metrics). Always returns a usable session; Close
+// must be called.
 func (f *CLIFlags) Start(reg *Registry) (*Session, error) {
 	s := &Session{Flags: f, Reg: reg}
 	if f.TracePath != "" {
@@ -75,6 +84,19 @@ func (f *CLIFlags) Start(reg *Registry) (*Session, error) {
 		s.srv = srv
 		fmt.Fprintf(os.Stderr, "obs: serving /metrics and /debug/pprof on http://%s\n", addr)
 	}
+	if f.CPUProfile != "" {
+		file, err := os.Create(f.CPUProfile)
+		if err != nil {
+			s.Close()
+			return nil, fmt.Errorf("obs: cpu profile: %w", err)
+		}
+		if err := pprof.StartCPUProfile(file); err != nil {
+			_ = file.Close()
+			s.Close()
+			return nil, fmt.Errorf("obs: cpu profile: %w", err)
+		}
+		s.profFile = file
+	}
 	return s, nil
 }
 
@@ -94,9 +116,18 @@ func (s *Session) Progress(label string) func(done, total uint64) {
 	}
 }
 
-// Close flushes the tracer (failure ring + summary), closes the trace file
-// and shuts down the serve endpoint.
+// Close stops the CPU profile and closes its file, flushes the tracer
+// (failure ring + summary), closes the trace file and shuts down the
+// serve endpoint. A profile file that fails to close is reported on
+// stderr: Close runs deferred, on every exit path of a CLI.
 func (s *Session) Close() {
+	if s.profFile != nil {
+		pprof.StopCPUProfile()
+		if err := s.profFile.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "obs: cpu profile:", err)
+		}
+		s.profFile = nil
+	}
 	s.Tracer.Close()
 	if s.traceFile != nil {
 		_ = s.traceFile.Close()

@@ -15,7 +15,6 @@ package pipeline
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"glitchlab/internal/emu"
 	"glitchlab/internal/firmware"
@@ -178,24 +177,15 @@ type Machine struct {
 	// cycles-per-instruction ratio program-dependent).
 	MaxSteps uint64
 
-	// Replay, when non-nil, accumulates the measured cost of the
-	// glitch-window mapping work (peek + cycle-to-event dispatch) the
-	// machine performs per issue slot inside an active trigger window.
-	// One clock-read pair per timed slot: set it only on sampled
-	// attempts (the phase profiler does) and subtract Ops multiplied by
-	// the calibrated clock-read cost when attributing Ns.
-	Replay *ReplayProf
-
 	stops []stop
 
 	windowStart uint64 // cycle at which the active trigger window began
 	windowIdx   int    // trigger occurrence index (-1 before first trigger)
 
-	step          uint64
-	ring          [ringSlots]slot // pending effects, indexed by step % ringSlots
-	curStepFetch  bool            // first fetch of the current step already seen
-	curStep       uint64
-	glitchedSteps uint64
+	step         uint64
+	ring         [ringSlots]slot // pending effects, indexed by step % ringSlots
+	curStepFetch bool            // first fetch of the current step already seen
+	curStep      uint64
 }
 
 // NewMachine wires a machine to a board.
@@ -308,18 +298,6 @@ func (m *Machine) peek(pc uint32) (isa.Inst, bool) {
 	return isa.Decode(hw, hw2), true
 }
 
-// GlitchedSteps reports how many issue slots were touched by glitch events
-// in the last run (diagnostic).
-func (m *Machine) GlitchedSteps() uint64 { return m.glitchedSteps }
-
-// ReplayProf accumulates the cost of the glitch-window mapping work: Ns
-// is the measured wall time, Ops the number of timed issue slots (each
-// carrying one clock-read pair of instrumentation overhead).
-type ReplayProf struct {
-	Ns  int64
-	Ops uint64
-}
-
 // Run executes until a stop symbol, a fault, or the cycle budget.
 func (m *Machine) Run(maxCycles uint64) Result {
 	m.resetRun()
@@ -332,7 +310,6 @@ func (m *Machine) resetRun() {
 	m.windowIdx = -1
 	m.windowStart = 0
 	m.ring = [ringSlots]slot{}
-	m.glitchedSteps = 0
 }
 
 // run is the machine's main loop, continuing from the current machine and
@@ -358,10 +335,6 @@ func (m *Machine) run(maxCycles uint64) Result {
 		// the mapping altogether.
 		if g := m.Glitch; g.At != nil && m.windowIdx >= 0 &&
 			int64(cpu.Cycles)-int64(m.windowStart) < int64(g.To) {
-			var t0 time.Time
-			if m.Replay != nil {
-				t0 = time.Now()
-			}
 			if in, ok := m.peek(pc); ok {
 				cost := cpu.CostOf(in)
 				start := cpu.Cycles
@@ -376,10 +349,6 @@ func (m *Machine) run(maxCycles uint64) Result {
 					}
 					m.dispatch(ev)
 				}
-			}
-			if m.Replay != nil {
-				m.Replay.Ns += time.Since(t0).Nanoseconds()
-				m.Replay.Ops++
 			}
 		}
 
@@ -399,7 +368,6 @@ func (m *Machine) run(maxCycles uint64) Result {
 }
 
 func (m *Machine) dispatch(ev Event) {
-	m.glitchedSteps++
 	switch ev.Kind {
 	case EventFetchCorrupt:
 		// The word in the fetch stage belongs to the instruction two
@@ -453,7 +421,7 @@ type Snapshot struct {
 //
 // The snapshot's memory capture arms dirty-page tracking on the board's
 // writable regions; from then on the board must only be re-run through
-// RestoreSnapshot/RunFrom. A Board.Reset would repaint SRAM outside the
+// RunFrom. A Board.Reset would repaint SRAM outside the
 // CPU store path, invisibly to the tracking, and stale data would survive
 // the next restore.
 func (m *Machine) SnapshotAtTrigger(maxCycles uint64) *Snapshot {
@@ -489,14 +457,12 @@ func (m *Machine) SnapshotAtTrigger(maxCycles uint64) *Snapshot {
 	}
 }
 
-// Steps reports how many instructions had retired at the snapshot point;
-// profilers subtract it from a replayed run's total to count only the
-// instructions the replay itself executed.
-func (s *Snapshot) Steps() uint64 { return s.cpu.Steps }
-
-// RestoreSnapshot rewinds the machine, CPU, memory and board trigger
-// bookkeeping to the captured trigger point.
-func (m *Machine) RestoreSnapshot(s *Snapshot) {
+// RunFrom rewinds the machine, CPU, memory and board trigger bookkeeping
+// to the captured trigger point and runs to completion. maxCycles is the
+// same absolute cycle budget a full Run would get; the cycles already
+// spent reaching the snapshot count against it, so results match a full
+// run.
+func (m *Machine) RunFrom(s *Snapshot, maxCycles uint64) Result {
 	m.resetRun()
 	m.step = s.step
 	m.windowStart = s.windowStart
@@ -506,18 +472,6 @@ func (m *Machine) RestoreSnapshot(s *Snapshot) {
 	m.Board.TriggerCount = s.trigCount
 	m.Board.TriggerCycle = s.trigCycle
 	m.Board.FlashWrites = s.flashWrites
-}
-
-// Resume continues execution from the machine's current (restored) state.
-func (m *Machine) Resume(maxCycles uint64) Result {
-	return m.run(maxCycles)
-}
-
-// RunFrom restores a snapshot and runs to completion. maxCycles is the
-// same absolute cycle budget a full Run would get; the cycles already spent
-// reaching the snapshot count against it, so results match a full run.
-func (m *Machine) RunFrom(s *Snapshot, maxCycles uint64) Result {
-	m.RestoreSnapshot(s)
 	return m.run(maxCycles)
 }
 

@@ -12,7 +12,7 @@ import (
 )
 
 func TestFigure2Rendering(t *testing.T) {
-	results, err := core.RunFigure2(mutate.AND, false, 1, 1, false, nil, nil, nil)
+	results, err := core.RunFigure2(mutate.AND, false, 1, 1, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestTable7Static(t *testing.T) {
 func TestOutcomeTotalsConsistency(t *testing.T) {
 	// Figure 2 rendering must not lose runs: histogram total equals the
 	// number of mutated executions.
-	results, err := core.RunFigure2(mutate.AND, false, 2, 1, false, nil, nil, nil)
+	results, err := core.RunFigure2(mutate.AND, false, 2, 1, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,11 +206,11 @@ func TestOutcomeTotalsConsistency(t *testing.T) {
 // the parallel engines promise: the rendered Figure 2 and Table I output
 // of a sharded run must be byte-identical to a serial run's.
 func TestParallelRendersIdentical(t *testing.T) {
-	serial, err := core.RunFigure2(mutate.AND, false, 3, 1, false, nil, nil, nil)
+	serial, err := core.RunFigure2(mutate.AND, false, 3, 1, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := core.RunFigure2(mutate.AND, false, 3, 4, false, nil, nil, nil)
+	parallel, err := core.RunFigure2(mutate.AND, false, 3, 4, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

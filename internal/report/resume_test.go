@@ -36,7 +36,7 @@ func killAfterUnits(t *testing.T, dir string, m runctl.Manifest, n int64) *runct
 // to the report of an uninterrupted serial run.
 func TestFigure2ReportByteIdenticalAfterResume(t *testing.T) {
 	const maxFlips = 3
-	baseline, err := core.RunFigure2(mutate.AND, false, maxFlips, 1, false, nil, nil, nil)
+	baseline, err := core.RunFigure2(mutate.AND, false, maxFlips, 1, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestFigure2ReportByteIdenticalAfterResume(t *testing.T) {
 	dir := t.TempDir()
 	manifest := runctl.Manifest{Tool: "report-test", ConfigHash: "sha256:f2", Seed: 0}
 	rn := killAfterUnits(t, dir, manifest, 9)
-	_, runErr := core.RunFigure2(mutate.AND, false, maxFlips, 3, false, nil, nil, rn)
+	_, runErr := core.RunFigure2(mutate.AND, false, maxFlips, 3, false, nil, rn)
 	if err := rn.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestFigure2ReportByteIdenticalAfterResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := core.RunFigure2(mutate.AND, false, maxFlips, 2, false, nil, nil, rn2)
+	resumed, err := core.RunFigure2(mutate.AND, false, maxFlips, 2, false, nil, rn2)
 	if err != nil {
 		t.Fatalf("resume failed: %v", err)
 	}

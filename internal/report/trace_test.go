@@ -27,7 +27,7 @@ func traceCampaign(t *testing.T, workers int) (*query.Trace, obs.Snapshot) {
 	tr.SetSampling(1)
 	tr.SetFailureRing(4096) // larger than the campaign's failure count
 	o := campaign.NewObserver(reg, tr)
-	if _, err := core.RunFigure2(mutate.AND, false, 2, workers, false, o, nil, nil); err != nil {
+	if _, err := core.RunFigure2(mutate.AND, false, 2, workers, false, o, nil); err != nil {
 		t.Fatal(err)
 	}
 	tr.Close()

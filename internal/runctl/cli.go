@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"runtime/pprof"
 	"syscall"
 	"time"
 
@@ -83,6 +84,10 @@ func (f *CLIFlags) FS() chaos.FS {
 	inj := chaos.NewInjector(chaos.OS{}, sched).WithSeed(f.ChaosSeed | 1)
 	inj.OnCrash(func() {
 		fmt.Fprintln(os.Stderr, "chaos: simulated power loss at -chaos-crash-op; run directory rolled back to its durable image")
+		// os.Exit skips the CLI's deferred obs.Session.Close, so finish a
+		// -cpuprofile here: the simulated crash targets the run
+		// directory, not the profile of the run it cut short.
+		pprof.StopCPUProfile()
 		os.Exit(ExitChaosCrash)
 	})
 	f.fsys = inj

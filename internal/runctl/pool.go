@@ -73,6 +73,7 @@ func (p Pool[R]) Run(rn *Run) error {
 		u := &s.units[i]
 		u.done = make(chan struct{})
 		if rn.Lookup(p.Keys[i], &u.r) && (p.Restored == nil || p.Restored(u.r)) {
+			rn.skipped.Inc()
 			close(u.done)
 			continue
 		}

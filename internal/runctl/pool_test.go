@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"glitchlab/internal/obs"
 )
 
 // poolKeys names n units u0..u(n-1).
@@ -119,6 +121,10 @@ func TestPoolRestoresCheckpointedUnits(t *testing.T) {
 	}
 	defer run.Close()
 
+	// A rejected restore reruns, so it counts as completed, not skipped.
+	skipped := obs.Default.Counter(MetricUnitsSkipped)
+	completed := obs.Default.Counter(MetricUnitsCompleted)
+	skipped0, completed0 := skipped.Value(), completed.Value()
 	var ran []int
 	var out emitted[int]
 	err = Pool[int]{
@@ -139,6 +145,12 @@ func TestPoolRestoresCheckpointedUnits(t *testing.T) {
 	}
 	if want := []int{100, 10, 20, 30}; !reflect.DeepEqual(out.res, want) {
 		t.Fatalf("emitted %v, want %v", out.res, want)
+	}
+	if d := skipped.Value() - skipped0; d != 1 {
+		t.Errorf("%s grew by %d, want 1 (u0)", MetricUnitsSkipped, d)
+	}
+	if d := completed.Value() - completed0; d != 3 {
+		t.Errorf("%s grew by %d, want 3 (u1-u3)", MetricUnitsCompleted, d)
 	}
 	// The rerun unit's fresh result is checkpointed too.
 	var got int

@@ -368,7 +368,8 @@ func (r *Run) Loaded() int {
 // Lookup reports whether unit already completed in a previous run and, if
 // so, unmarshals its checkpointed result into out (out may be nil to only
 // test membership). Undecodable records are treated as not done, so the
-// unit reruns rather than poisoning the merge.
+// unit reruns rather than poisoning the merge. Lookup only reads: the
+// caller that accepts the restored result counts the skip (Pool does).
 func (r *Run) Lookup(unit string, out any) bool {
 	if r == nil {
 		return false
@@ -379,11 +380,7 @@ func (r *Run) Lookup(unit string, out any) bool {
 	if !ok {
 		return false
 	}
-	if out != nil && json.Unmarshal(data, out) != nil {
-		return false
-	}
-	r.skipped.Inc()
-	return true
+	return out == nil || json.Unmarshal(data, out) == nil
 }
 
 // Complete records unit's result as durably done: the checkpoint record is

@@ -84,20 +84,14 @@ func (s *Searcher) attempt(p glitcher.Params, inj pipeline.Injector, res *Result
 	return false
 }
 
-// Find scans for parameters achieving Confirmations/Confirmations
+// FindRun scans for parameters achieving Confirmations/Confirmations
 // reliability with a single-cycle glitch. It returns a Result whether or
-// not a reliable point was found.
-func (s *Searcher) Find() *Result {
-	res, _ := s.FindRun(nil)
-	return res
-}
-
-// FindRun is Find under a run controller: rn's cancellation is polled at
-// every grid point, and an interrupted search returns the partial Result
-// accumulated so far together with an error wrapping
-// runctl.ErrInterrupted. The search itself is not checkpointed — its
-// early-stop walk is seconds long, far below the checkpoint-unit
-// granularity of the exhaustive scans.
+// not a reliable point was found. rn, when non-nil, is polled for
+// cancellation at every grid point, and an interrupted search returns the
+// partial Result accumulated so far together with an error wrapping
+// runctl.ErrInterrupted; a nil rn never interrupts. The search itself is
+// not checkpointed — its early-stop walk is seconds long, far below the
+// checkpoint-unit granularity of the exhaustive scans.
 func (s *Searcher) FindRun(rn *runctl.Run) (*Result, error) {
 	res := &Result{Guard: s.Guard}
 	start := time.Now()

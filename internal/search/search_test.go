@@ -6,6 +6,16 @@ import (
 	"glitchlab/internal/glitcher"
 )
 
+// find runs s's search without a run controller.
+func find(t *testing.T, s *Searcher) *Result {
+	t.Helper()
+	res, err := s.FindRun(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestFindReliableParameters(t *testing.T) {
 	// Section V-B: the search must locate a single-cycle glitch with
 	// 10/10 reliability against both while(a) and the large-Hamming
@@ -16,7 +26,7 @@ func TestFindReliableParameters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := s.Find()
+		res := find(t, s)
 		if !res.Found {
 			t.Fatalf("%v: %s", g, res)
 		}
@@ -50,7 +60,7 @@ func TestFindIsDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, r2 := s1.Find(), s2.Find()
+	r1, r2 := find(t, s1), find(t, s2)
 	if r1.Found != r2.Found || r1.Params != r2.Params || r1.Cycle != r2.Cycle ||
 		r1.Attempts != r2.Attempts {
 		t.Fatalf("search not deterministic: %s vs %s", r1, r2)
@@ -76,7 +86,7 @@ func TestFindCycleWithinLoop(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res := s.Find()
+			res := find(t, s)
 			if !res.Found {
 				continue
 			}
@@ -89,7 +99,7 @@ func TestFindCycleWithinLoop(t *testing.T) {
 }
 
 // TestFindStopsAfterSuccess is the regression test for the full-grid
-// iteration bug: Find used to keep walking the remaining parameter points
+// iteration bug: the search used to keep walking the remaining parameter points
 // after locating a reliable point, burning one coarse attempt on each. A
 // successful search must fire strictly fewer attempts than an exhaustive
 // coarse scan, which attempts every grid point once.
@@ -99,12 +109,12 @@ func TestFindStopsAfterSuccess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := s.Find()
+	res := find(t, s)
 	if !res.Found {
 		t.Fatalf("no reliable point found: %s", res)
 	}
 	if res.Attempts >= glitcher.GridSize {
-		t.Errorf("Find fired %d attempts, not fewer than the %d of a full coarse scan — grid not stopped on success",
+		t.Errorf("search fired %d attempts, not fewer than the %d of a full coarse scan — grid not stopped on success",
 			res.Attempts, glitcher.GridSize)
 	}
 }

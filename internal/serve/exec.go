@@ -17,7 +17,6 @@ import (
 	"glitchlab/internal/glitcher"
 	"glitchlab/internal/mutate"
 	"glitchlab/internal/obs"
-	"glitchlab/internal/obs/profile"
 	"glitchlab/internal/passes"
 	"glitchlab/internal/report"
 	"glitchlab/internal/runctl"
@@ -41,8 +40,6 @@ type Env struct {
 	Tracer *obs.Tracer
 	// Progress, when non-nil, returns a per-campaign progress sink.
 	Progress func(label string) func(done, total uint64)
-	// Prof, when non-nil, samples phase attribution on the hot path.
-	Prof *profile.Profile
 	// EvalProgress, when non-nil, receives Table VI per-cell progress.
 	EvalProgress func(sc, cfg string, a core.Attack, cell core.Table6Cell)
 	// Run threads the run controller through the engines: cancellation,
@@ -88,10 +85,10 @@ func execCampaign(spec Spec, env Env, w io.Writer) error {
 		var err error
 		if spec.PadUDF {
 			results, err = core.RunUDFHardening(v.Model, spec.MaxFlips, env.Workers,
-				env.FullRun, o, env.Prof, env.Run)
+				env.FullRun, o, env.Run)
 		} else {
 			results, err = core.RunFigure2(v.Model, v.ZeroInvalid, spec.MaxFlips,
-				env.Workers, env.FullRun, o, env.Prof, env.Run)
+				env.Workers, env.FullRun, o, env.Run)
 		}
 		if err != nil {
 			return err
@@ -107,7 +104,6 @@ func execScan(spec Spec, env Env, w io.Writer) error {
 	if env.Reg != nil {
 		m.Obs = glitcher.NewObs(env.Reg, env.Tracer)
 	}
-	m.Prof = env.Prof
 	workers, rn := env.Workers, env.Run
 	wantT1 := map[string]int{"table1a": 0, "table1b": 1, "table1c": 2}
 	switch spec.Exp {
@@ -231,7 +227,7 @@ func execEval(spec Spec, env Env, w io.Writer) error {
 		}
 		o := env.campaignObserver("figure2 " + model.String())
 		results, err := core.RunFigure2(model, spec.ZeroInvalid, spec.MaxFlips,
-			env.Workers, env.FullRun, o, nil, env.Run)
+			env.Workers, env.FullRun, o, env.Run)
 		if err != nil {
 			return err
 		}
