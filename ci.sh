@@ -19,17 +19,18 @@ go test -race -short ./...
 # Observability gates: hammer the metrics registry, tracer, -cpuprofile
 # session and trace analytics under the race detector (this includes
 # TestServeDuringShardedCampaign, which scrapes the live /metrics
-# endpoints while a worker-sharded campaign flushes its observer shards)
-# and smoke-test the -serve HTTP surface end to end.
+# endpoints while a worker-sharded campaign merges its units'
+# observations) and smoke-test the -serve HTTP surface end to end.
 go test -race ./internal/obs/... ./internal/campaign/ ./internal/report/
 go test -run TestMetricsEndpoint ./internal/obs/
 
 # Parallel-engine gates under the race detector: a sharded campaign slice
-# with an attached observer (worker shards, progress ticks, accounting)
-# and the sharded-scan observer merge. The full-grid golden-equivalence
-# tests stay in the non-short suite; these small slices keep CI fast.
+# with an attached observer (ordered merge, progress ticks, accounting)
+# and an observed scan at one and three workers (identical traces and
+# metrics). The full-grid golden-equivalence tests stay in the non-short
+# suite; these small slices keep CI fast.
 go test -race -run 'TestParallelObserverAccounting|TestParallelMoreWorkersThanUnits|TestRunNilObs' ./internal/campaign/
-go test -race -run 'TestObsShardFlushMatchesSerial|TestGridBand' ./internal/glitcher/
+go test -race -short -run 'TestObservedScanWorkersIdentical|TestGridBand' ./internal/glitcher/
 go run ./cmd/glitchemu -model and -max-flips 2 -workers 4 >/dev/null
 
 # Crash-safe run-controller gates: the runctl suite and a campaign
@@ -192,6 +193,31 @@ if ! grep -Eq 'event +campaign\.exec +1918$' "$tmp/rollup.txt"; then
 fi
 "$tmp/glitchtrace" critical "$tmp/trace.jsonl" >/dev/null
 "$tmp/glitchtrace" failures "$tmp/trace.jsonl" >/dev/null
+
+# Observation-determinism gate: a sampled trace (minus its t_us and
+# dur_us timings) and the -metrics snapshot must be byte-identical at any
+# worker count. Each work unit returns its observation with its result,
+# the units merge in unit order, and a record is kept by a pure function
+# of (unit key, index in unit), so nothing observed depends on the
+# schedule.
+notime() { sed 's/"t_us":[0-9]*,//; s/"dur_us":[0-9]*,//' "$1"; }
+for w in 1 2 3; do
+	"$tmp/glitchemu" -model and -max-flips 4 -workers "$w" -trace-sample 7 \
+		-trace "$tmp/obs_emu_$w.jsonl" -metrics -out "$tmp/obs_emu_$w.txt" \
+		>"$tmp/obs_emu_$w.metrics" 2>/dev/null
+	notime "$tmp/obs_emu_$w.jsonl" >"$tmp/obs_emu_$w.trace"
+done
+for w in 1 3; do
+	"$tmp/glitchscan" -exp table1 -workers "$w" -trace-sample 3 \
+		-trace "$tmp/obs_scan_$w.jsonl" -metrics -out "$tmp/obs_scan_$w.txt" \
+		>"$tmp/obs_scan_$w.metrics" 2>/dev/null
+	notime "$tmp/obs_scan_$w.jsonl" >"$tmp/obs_scan_$w.trace"
+done
+for f in trace metrics; do
+	cmp "$tmp/obs_emu_1.$f" "$tmp/obs_emu_2.$f"
+	cmp "$tmp/obs_emu_1.$f" "$tmp/obs_emu_3.$f"
+	cmp "$tmp/obs_scan_1.$f" "$tmp/obs_scan_3.$f"
+done
 
 # glitchd serving gates. First the in-process load and crash/resume
 # harnesses under the race detector, full-size (their short variants

@@ -241,8 +241,8 @@ func Lint(ctx context.Context, o Options) (*Result, error) {
 	lintErr := runctl.Pool[struct{}]{
 		Keys:    unitKeys,
 		Workers: o.Workers,
-		Start: func() (func(int) (struct{}, error), func(), error) {
-			return lintOne, nil, nil
+		Start: func() (func(int) (struct{}, error), error) {
+			return lintOne, nil
 		},
 	}.Run(rn)
 	if lintErr == nil {

@@ -280,9 +280,10 @@ func (r *Runner) restoreBranch() {
 }
 
 // runOne executes one mutation and additionally returns the raising fault
-// (nil for clean or hung executions), which the observer records as the
-// trace fault class. It deliberately does NOT restore the branch halfword:
-// the next mutation overwrites it anyway, and the enclosing unit of work
+// (nil for clean or hung executions), which the observer counts and
+// records as the trace fault class. It deliberately does NOT restore the
+// branch halfword: the next mutation overwrites it anyway, and the
+// enclosing unit of work
 // (sweepFlips, RunOne) holds the single deferred restoreBranch that makes
 // restoration panic-safe without a per-execution defer closure.
 func (r *Runner) runOne(word uint16) (Outcome, *emu.Fault) {
@@ -398,39 +399,46 @@ func (r *Runner) Sweep(model mutate.Model, maxFlips int) CondResult {
 		maxFlips = 16
 	}
 	if r.Obs != nil {
-		r.Obs.attach(r.cpu)
-		defer r.Obs.flush()
-		defer r.Obs.span("campaign.sweep", map[string]any{
+		defer r.Obs.tracer.StartSpan("campaign.sweep", map[string]any{
 			"cond": "b" + r.cond.String(), "model": model.String(),
 		}).End()
 	}
 	res := CondResult{Cond: r.cond, Model: model}
 	for k := 0; k <= maxFlips; k++ {
-		res.merge(r.sweepFlips(model, k))
+		var key string // names the observed unit, seeding its sampling
+		if r.Obs != nil {
+			key = fmt.Sprintf("sweep cond=b%v model=%s k=%d", r.cond, model, k)
+		}
+		fr, ob := r.sweepFlips(model, k, key)
+		r.Obs.merge(r.cond, model, fr, ob)
+		res.merge(fr)
 	}
 	return res
 }
 
 // sweepFlips runs every mask of one flip count — the unit of work the
-// parallel campaign engine shards by. The single deferred restoreBranch
-// is what makes mutation restore panic-safe: each execution's flash write
-// overwrites the previous one, so only the last mutation is ever live, and
-// the defer runs during unwinding before runctl's Protect recovers — a
-// quarantined unit can never leave a corrupted image behind.
-func (r *Runner) sweepFlips(model mutate.Model, k int) FlipResult {
+// parallel campaign engine shards by. When the runner is observed it also
+// returns the unit's observation; key, the unit's name, seeds its trace
+// sampling. The single deferred restoreBranch is what makes mutation
+// restore panic-safe: each execution's flash write overwrites the
+// previous one, so only the last mutation is ever live, and the defer
+// runs during unwinding before runctl's Protect recovers — a quarantined
+// unit can never leave a corrupted image behind.
+func (r *Runner) sweepFlips(model mutate.Model, k int, key string) (FlipResult, *unitObs) {
 	defer r.restoreBranch()
 	fr := FlipResult{Flips: k}
+	ob := r.Obs.unit(key)
 	mutate.Masks(16, k, func(mask uint16) bool {
 		word := model.Apply(r.original, mask)
 		out, fault := r.runOne(word)
 		fr.Counts[out]++
 		fr.Total++
-		if r.Obs != nil {
-			r.Obs.record(r, model, k, mask, word, out, fault)
+		if ob != nil {
+			ob.record(r, mask, word, out, fault)
 		}
 		return true
 	})
-	return fr
+	return fr, ob
 }
 
 // merge appends one flip count's results. FlipResults must arrive in
@@ -466,9 +474,11 @@ type Config struct {
 	Workers int
 
 	// Obs, when non-nil, instruments every execution of the campaign
-	// (counters, steps histogram, progress ticks, trace records). Every
-	// worker records through its own shard of this observer; counter
-	// totals do not depend on the worker count.
+	// (counters, steps histogram, progress ticks, trace records). Each
+	// unit returns its observation with its result, and Run merges them in
+	// unit order, so metrics and traces do not depend on the worker count.
+	// An observed resume reruns every unit checkpointed without an
+	// observation kept at the same trace settings.
 	Obs *Observer
 
 	// Run, when non-nil, is the run controller: cancellation is checked
@@ -516,14 +526,13 @@ func Run(cfg Config) ([]CondResult, error) {
 		cfg.MaxFlips = 16
 	}
 	if cfg.Obs != nil {
-		cfg.Obs.setTotal(PlannedRuns(cfg.MaxFlips))
+		cfg.Obs.total = PlannedRuns(cfg.MaxFlips)
 		defer cfg.Obs.finish()
-		defer cfg.Obs.span("campaign.run", map[string]any{
+		defer cfg.Obs.tracer.StartSpan("campaign.run", map[string]any{
 			"model":        cfg.Model.String(),
 			"zero_invalid": cfg.ZeroInvalid,
 			"pad_udf":      cfg.PadUDF,
 			"max_flips":    cfg.MaxFlips,
-			"workers":      cfg.Workers,
 		}).End()
 	}
 	results, err := runUnits(cfg)
@@ -550,6 +559,7 @@ func newRunnerFor(cfg Config, cond isa.Cond) (*Runner, error) {
 	}
 	if r != nil {
 		r.FullRun = cfg.FullRun
+		r.Obs = cfg.Obs
 	}
 	return r, err
 }

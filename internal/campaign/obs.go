@@ -3,10 +3,9 @@ package campaign
 import (
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"glitchlab/internal/emu"
+	"glitchlab/internal/isa"
 	"glitchlab/internal/mutate"
 	"glitchlab/internal/obs"
 )
@@ -26,6 +25,10 @@ const (
 // DefaultProgressEvery is how many executions pass between progress ticks.
 const DefaultProgressEvery = 1 << 16
 
+// stepBounds is the number of MetricSteps bucket bounds: ExpBuckets(1, 2,
+// stepBounds), plus an overflow bucket.
+const stepBounds = 10
+
 // metricName lowercases a display name into a metric-name segment
 // ("Bad Read" -> "bad_read").
 func metricName(s string) string {
@@ -43,21 +46,13 @@ func OutcomeMetric(o Outcome) string {
 // and sampled per-execution trace records with a last-N-failures ring.
 // A nil *Observer disables all instrumentation (the bare hot path).
 //
-// The per-execution path writes only plain (non-atomic) fields plus one
-// atomic add on the shared progress counter; the shared registry metrics
-// are updated at every progress boundary (OnProgress's interval,
-// DefaultProgressEvery unless changed), at the end of each branch sweep
-// and when the campaign finishes. A live /metrics scrape therefore lags
-// the campaign by at most one progress interval — the cost of keeping
-// instrumented sweeps within a few percent of bare ones (see
-// BenchmarkCampaignInstrumented).
-//
-// An Observer is single-goroutine; every campaign worker records through
-// its own Shard. Shards share the registry counters, the tracer and the
-// progress accounting, so flushed totals do not depend on how the work
-// was split.
+// Each (condition, k) work unit fills its own unitObs in plain memory and
+// returns it inside its result. The campaign merges every unit's
+// observation in unit order, restored units included, on the goroutine
+// that called Run. So the registry, the trace and the progress ticks
+// depend on the units alone: not on the worker count, and not on a kill
+// and resume. A live /metrics scrape lags by the units still running.
 type Observer struct {
-	reg    *obs.Registry
 	tracer *obs.Tracer
 
 	runs     *obs.Counter
@@ -66,42 +61,23 @@ type Observer struct {
 	outcomes [NumOutcomes]*obs.Counter
 	faults   [emu.FaultSupervisor + 1]*obs.Counter
 	hist     *obs.Histogram
-	steps    *obs.HistShard
-
-	// local accumulation since the last flush
-	lruns, lcontrols, lretired uint64
-	loutcomes                  [NumOutcomes]uint64
-	lfaults                    [emu.FaultSupervisor + 1]uint64
 
 	progress      func(done, total uint64)
 	progressEvery uint64
-	prog          *progressState
-}
-
-// progressState is the campaign-wide progress accounting, shared by every
-// shard of one Observer so ticks and denominators stay coherent when the
-// campaign is split across workers.
-type progressState struct {
-	done  atomic.Uint64
-	total atomic.Uint64
-	mu    sync.Mutex // serializes the user progress callback
+	done, total   uint64
 }
 
 // NewObserver builds an observer recording into reg and, when tracer is
-// non-nil, emitting trace records. Metric pointers are resolved once here
-// so the per-execution path stays lock-free.
+// non-nil, emitting trace records at the tracer's sampling rate.
 func NewObserver(reg *obs.Registry, tracer *obs.Tracer) *Observer {
 	o := &Observer{
-		reg:           reg,
 		tracer:        tracer,
 		runs:          reg.Counter(MetricRuns),
 		controls:      reg.Counter(MetricControls),
 		retired:       reg.Counter(MetricRetired),
-		hist:          reg.Histogram(MetricSteps, obs.ExpBuckets(1, 2, 10)),
+		hist:          reg.Histogram(MetricSteps, obs.ExpBuckets(1, 2, stepBounds)),
 		progressEvery: DefaultProgressEvery,
-		prog:          &progressState{},
 	}
-	o.steps = o.hist.Shard()
 	for i := range o.outcomes {
 		o.outcomes[i] = reg.Counter(OutcomeMetric(Outcome(i)))
 	}
@@ -111,8 +87,9 @@ func NewObserver(reg *obs.Registry, tracer *obs.Tracer) *Observer {
 	return o
 }
 
-// OnProgress installs a progress callback invoked every `every` executions
-// and once at the end of the campaign. every <= 0 keeps the default.
+// OnProgress installs a progress callback. It runs after each merged unit
+// that crosses a multiple of every executions, and once at the end of
+// the campaign with done == total. every <= 0 keeps the default.
 func (o *Observer) OnProgress(every uint64, fn func(done, total uint64)) {
 	if every > 0 {
 		o.progressEvery = every
@@ -120,140 +97,118 @@ func (o *Observer) OnProgress(every uint64, fn func(done, total uint64)) {
 	o.progress = fn
 }
 
-// setTotal announces the campaign's planned execution count (progress
-// denominators; 0 means unknown).
-func (o *Observer) setTotal(total uint64) {
-	o.prog.total.Store(total)
+// unitObs is what one observed (condition, k) unit saw beyond its outcome
+// counts. It is checkpointed with them, so a resumed run merges the same
+// observation an uninterrupted one does.
+type unitObs struct {
+	Faults  [emu.FaultSupervisor + 1]uint64 `json:"faults"`  // by emu.FaultKind
+	Steps   [stepBounds + 1]uint64          `json:"steps"`   // MetricSteps buckets
+	Retired uint64                          `json:"retired"` // instructions, the buckets' sum
+	Trace   *obs.UnitTrace[execRecord]      `json:"trace,omitempty"`
 }
 
-// Shard returns an observer that records into the same registry metrics,
-// tracer and progress accounting as o but buffers its per-execution
-// accumulation privately, so each campaign worker can instrument its own
-// runners without locks. Flush boundaries are unchanged (progress ticks
-// and sweep ends); the parent's finish flushes only the parent, so every
-// shard must be flushed before the campaign's results are merged. A nil
-// receiver shards to nil, keeping the bare hot path bare.
-func (o *Observer) Shard() *Observer {
+// execRecord is one execution's trace record. It becomes an attrs map
+// only when it is written.
+type execRecord struct {
+	Mask    uint16        `json:"mask"`
+	Word    uint16        `json:"word"`
+	Outcome Outcome       `json:"out"`
+	Fault   emu.FaultKind `json:"fault"`
+	Steps   uint64        `json:"steps"`
+	Regs    [8]uint32     `json:"regs"` // r0-r7
+	PC      uint32        `json:"pc"`
+}
+
+// unit starts the observation of the unit named key (nil when o is).
+func (o *Observer) unit(key string) *unitObs {
 	if o == nil {
 		return nil
 	}
-	s := *o
-	s.lruns, s.lcontrols, s.lretired = 0, 0, 0
-	s.loutcomes = [NumOutcomes]uint64{}
-	s.lfaults = [emu.FaultSupervisor + 1]uint64{}
-	s.steps = o.hist.Shard()
-	return &s
+	return &unitObs{Trace: obs.NewUnitTrace[execRecord](o.tracer, key)}
 }
 
-// attach wires the observer's fault accounting into a runner's CPU.
-func (o *Observer) attach(cpu *emu.CPU) {
-	cpu.Hooks.OnFault = func(f *emu.Fault) {
-		if int(f.Kind) < len(o.lfaults) {
-			o.lfaults[f.Kind]++
-		}
-	}
-}
-
-// flush publishes the local accumulation into the shared registry metrics.
-func (o *Observer) flush() {
-	if o == nil {
-		return
-	}
-	if o.lruns != 0 {
-		o.runs.Add(o.lruns)
-		o.lruns = 0
-	}
-	if o.lcontrols != 0 {
-		o.controls.Add(o.lcontrols)
-		o.lcontrols = 0
-	}
-	if o.lretired != 0 {
-		o.retired.Add(o.lretired)
-		o.lretired = 0
-	}
-	for i, n := range o.loutcomes {
-		if n != 0 {
-			o.outcomes[i].Add(n)
-			o.loutcomes[i] = 0
-		}
-	}
-	for k, n := range o.lfaults {
-		if n != 0 && o.faults[k] != nil {
-			o.faults[k].Add(n)
-			o.lfaults[k] = 0
-		}
-	}
-	o.steps.Flush()
-}
-
-// record accounts one perturbed execution.
-func (o *Observer) record(r *Runner, model mutate.Model, flips int, mask, word uint16, out Outcome, fault *emu.Fault) {
-	o.lruns++
-	if flips == 0 {
-		o.lcontrols++
-	} else {
-		o.loutcomes[out]++
+// record accounts one execution; the runner's CPU still holds its end
+// state. A trace record is built only for a kept or failed execution.
+func (u *unitObs) record(r *Runner, mask, word uint16, out Outcome, fault *emu.Fault) {
+	var kind emu.FaultKind
+	if fault != nil {
+		kind = fault.Kind
+		u.Faults[kind]++
 	}
 	steps := r.cpu.Steps
-	o.steps.ObservePow2(steps) // MetricSteps uses ExpBuckets(1, 2, 10)
-	o.lretired += steps
-
-	done := o.prog.done.Add(1)
-	if done%o.progressEvery == 0 {
-		o.flush()
-		o.tick(done)
-	}
-
-	if o.tracer == nil {
+	u.Steps[obs.Pow2Bucket(steps, stepBounds)]++
+	u.Retired += steps
+	t := u.Trace
+	if t == nil {
 		return
 	}
-	faultName := "none"
-	if fault != nil {
-		faultName = fault.Kind.String()
+	kept := t.Sampled()
+	if !kept && out != Failed {
+		return
 	}
-	attrs := map[string]any{
-		"cond":    "b" + r.cond.String(),
+	rec := execRecord{Mask: mask, Word: word, Outcome: out, Fault: kind, Steps: steps, PC: r.cpu.PC()}
+	copy(rec.Regs[:], r.cpu.R[:8])
+	if kept {
+		t.Kept = append(t.Kept, rec)
+	}
+	if out == Failed {
+		t.Fail(rec)
+	}
+}
+
+// merge adds one unit's outcome counts and observation to the registry,
+// writes its trace records and ticks progress. Units must arrive in unit
+// order, on one goroutine.
+func (o *Observer) merge(cond isa.Cond, model mutate.Model, fr FlipResult, u *unitObs) {
+	if o == nil {
+		return
+	}
+	o.runs.Add(fr.Total)
+	if fr.Flips == 0 {
+		o.controls.Add(fr.Total)
+	} else {
+		for i, n := range fr.Counts {
+			o.outcomes[i].Add(n)
+		}
+	}
+	o.retired.Add(u.Retired)
+	for k, n := range u.Faults {
+		if n != 0 {
+			o.faults[k].Add(n)
+		}
+	}
+	o.hist.Merge(u.Steps[:], float64(u.Retired))
+	obs.WriteUnit(o.tracer, u.Trace, "campaign.exec", "campaign.exec",
+		func(rec execRecord) map[string]any { return rec.attrs(cond, model, fr.Flips) })
+
+	before := o.done
+	o.done += fr.Total // done == total is left to finish's final tick
+	if o.progress != nil && o.done/o.progressEvery != before/o.progressEvery && o.done != o.total {
+		o.progress(o.done, o.total)
+	}
+}
+
+// attrs renders the record as the campaign.exec trace attributes.
+func (rec execRecord) attrs(cond isa.Cond, model mutate.Model, flips int) map[string]any {
+	r := rec.Regs
+	return map[string]any{
+		"cond":    "b" + cond.String(),
 		"model":   model.String(),
 		"flips":   flips,
-		"mask":    fmt.Sprintf("%#04x", mask),
-		"word":    fmt.Sprintf("%#04x", word),
-		"outcome": out.String(),
-		"fault":   faultName,
-		"steps":   steps,
+		"mask":    fmt.Sprintf("%#04x", rec.Mask),
+		"word":    fmt.Sprintf("%#04x", rec.Word),
+		"outcome": rec.Outcome.String(),
+		"fault":   rec.Fault.String(),
+		"steps":   rec.Steps,
 		"regs": fmt.Sprintf("%#x %#x %#x %#x %#x %#x %#x %#x",
-			r.cpu.R[0], r.cpu.R[1], r.cpu.R[2], r.cpu.R[3],
-			r.cpu.R[4], r.cpu.R[5], r.cpu.R[6], r.cpu.R[7]),
-		"pc": fmt.Sprintf("%#x", r.cpu.PC()),
-	}
-	o.tracer.Event("campaign.exec", attrs)
-	if out == Failed {
-		o.tracer.Failure("campaign.exec", attrs)
+			r[0], r[1], r[2], r[3], r[4], r[5], r[6], r[7]),
+		"pc": fmt.Sprintf("%#x", rec.PC),
 	}
 }
 
-// tick reports progress to the user callback, serialized across shards.
-func (o *Observer) tick(done uint64) {
-	if o.progress == nil {
-		return
-	}
-	o.prog.mu.Lock()
-	o.progress(done, o.prog.total.Load())
-	o.prog.mu.Unlock()
-}
-
-// finish flushes the accumulation and emits the final progress tick.
+// finish emits the final progress tick.
 func (o *Observer) finish() {
-	if o == nil {
-		return
+	if o != nil && o.progress != nil {
+		o.progress(o.done, o.total)
 	}
-	o.flush()
-	o.tick(o.prog.done.Load())
-}
-
-// span opens a tracer span (nil-safe passthrough).
-func (o *Observer) span(name string, attrs map[string]any) *obs.Span {
-	if o == nil {
-		return nil
-	}
-	return o.tracer.StartSpan(name, attrs)
 }

@@ -24,13 +24,23 @@ type unit struct {
 	flips   int
 }
 
+// unitResult is what a unit returns and the checkpoint stores: its
+// outcome counts and, on an observed campaign, its observation. The
+// embedded counts keep an unobserved record's JSON what it was before
+// observations existed.
+type unitResult struct {
+	FlipResult
+	Obs *unitObs `json:"obs,omitempty"`
+}
+
 // runUnits executes the campaign's units on a runctl.Pool of cfg.Workers
 // workers. Units are listed largest-first (C(16,k) peaks at k=8) so the
 // expensive middle flip counts do not end up serialized on one worker; the
 // merge reassembles results in BranchConds/ascending-k order, so the
-// output does not depend on the worker count. On interruption or
-// quarantine only the conditions whose every unit completed are
-// assembled; the rest live on in the checkpoint.
+// output does not depend on the worker count. Emit merges each unit's
+// observation in the same unit order. On interruption or quarantine only
+// the conditions whose every unit completed are assembled; the rest live
+// on in the checkpoint.
 func runUnits(cfg Config) ([]CondResult, error) {
 	conds := isa.BranchConds()
 	units := make([]unit, 0, len(conds)*(cfg.MaxFlips+1))
@@ -52,37 +62,39 @@ func runUnits(cfg Config) ([]CondResult, error) {
 		grid[ci] = make([]FlipResult, cfg.MaxFlips+1)
 	}
 	have := make([]int, len(conds)) // units emitted per condition
-	err := runctl.Pool[FlipResult]{
+	err := runctl.Pool[unitResult]{
 		Keys:    keys,
 		Workers: cfg.Workers,
-		Start: func() (func(int) (FlipResult, error), func(), error) {
-			shard := cfg.Obs.Shard()
+		Start: func() (func(int) (unitResult, error), error) {
 			// One runner per condition per worker: rebuilding it for
 			// every flip-count unit of the same condition would redo the
 			// assembly and prologue and drop the word memo.
 			runners := make([]*Runner, len(conds))
-			run := func(i int) (FlipResult, error) {
+			run := func(i int) (unitResult, error) {
 				u := units[i]
 				r := runners[u.condIdx]
 				if r == nil {
 					var err error
 					if r, err = newRunnerFor(cfg, conds[u.condIdx]); err != nil {
-						return FlipResult{}, err
-					}
-					r.Obs = shard
-					if shard != nil {
-						shard.attach(r.cpu)
+						return unitResult{}, err
 					}
 					runners[u.condIdx] = r
 				}
-				return r.sweepFlips(cfg.Model, u.flips), nil
+				fr, ob := r.sweepFlips(cfg.Model, u.flips, keys[i])
+				return unitResult{fr, ob}, nil
 			}
-			return run, shard.flush, nil
+			return run, nil
 		},
-		Emit: func(i int, fr FlipResult) {
+		// An observed campaign needs every restored unit's observation,
+		// kept under its tracer's settings; a unit without one reruns.
+		Restored: func(ur unitResult) bool {
+			return cfg.Obs == nil || ur.Obs != nil && ur.Obs.Trace.Fits(cfg.Obs.tracer)
+		},
+		Emit: func(i int, ur unitResult) {
 			u := units[i]
-			grid[u.condIdx][u.flips] = fr
+			grid[u.condIdx][u.flips] = ur.FlipResult
 			have[u.condIdx]++
+			cfg.Obs.merge(conds[u.condIdx], cfg.Model, ur.FlipResult, ur.Obs)
 		},
 	}.Run(cfg.Run)
 	if err != nil && !errors.Is(err, runctl.ErrInterrupted) {

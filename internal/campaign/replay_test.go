@@ -145,7 +145,7 @@ func TestPanicRestoresPristineImageProtected(t *testing.T) {
 	}
 	defer rn.Close()
 	err = rn.Protect("campaign-test poisoned unit", func() error {
-		r.sweepFlips(mutate.AND, 1)
+		r.sweepFlips(mutate.AND, 1, "")
 		return nil
 	})
 	var pe *runctl.PanicError
@@ -167,7 +167,7 @@ func TestPanicRestoresPristineImageBare(t *testing.T) {
 				t.Fatal("hook did not panic")
 			}
 		}()
-		r.sweepFlips(mutate.AND, 1)
+		r.sweepFlips(mutate.AND, 1, "")
 	}()
 	checkPristine(t, r, "bare sweep")
 

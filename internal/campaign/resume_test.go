@@ -1,16 +1,20 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"glitchlab/internal/isa"
 	"glitchlab/internal/mutate"
+	"glitchlab/internal/obs"
 	"glitchlab/internal/runctl"
 )
 
@@ -18,22 +22,62 @@ func resumeManifest() runctl.Manifest {
 	return runctl.Manifest{Tool: "campaign-test", ConfigHash: "sha256:test", Seed: 1}
 }
 
+// observedRun is one observed campaign: its results, its trace (under a
+// constant clock, so t_us and dur_us are zero) and its metrics.
+type observedRun struct {
+	results []CondResult
+	trace   []byte
+	snap    obs.Snapshot
+	err     error
+}
+
+// runObserved runs cfg with a fresh registry and a constant-clock tracer
+// keeping one record in every sample.
+func runObserved(cfg Config, sample int) observedRun {
+	var buf bytes.Buffer
+	tr := obs.NewTracer(&buf)
+	tr.SetClock(func() time.Time { return time.Unix(1700000000, 0) })
+	tr.SetSampling(sample)
+	reg := obs.NewRegistry()
+	cfg.Obs = NewObserver(reg, tr)
+	results, err := Run(cfg)
+	tr.Close()
+	return observedRun{results, buf.Bytes(), reg.Snapshot(), err}
+}
+
+// sameObservation reports how an observed run differs from want, or "".
+// runctl.* metrics live in obs.Default, so neither snapshot holds them.
+func sameObservation(got, want observedRun) string {
+	switch {
+	case !reflect.DeepEqual(got.results, want.results):
+		return "results differ"
+	case !bytes.Equal(got.trace, want.trace):
+		return fmt.Sprintf("trace differs:\n--- got ---\n%s--- want ---\n%s", got.trace, want.trace)
+	case !reflect.DeepEqual(got.snap, want.snap):
+		return fmt.Sprintf("metrics differ:\n--- got ---\n%s--- want ---\n%s", got.snap.Text(), want.snap.Text())
+	}
+	return ""
+}
+
 // TestResumeByteIdentical is the crash/resume equivalence property test:
-// a sharded campaign killed by injected cancellation after a random prefix
-// of completed work units, then resumed from its checkpoint (with a
-// different worker count, to prove the checkpoint is schedule-independent),
-// must produce results deeply equal to an uninterrupted serial run.
+// an observed, sharded campaign killed by injected cancellation after a
+// random prefix of completed work units, then resumed from its checkpoint
+// with a different worker count, must produce results, a trace and
+// metrics equal to an uninterrupted serial run's. The checkpoint stores
+// each unit's observation with its result, and the resumed run merges
+// restored and fresh units in unit order.
 func TestResumeByteIdentical(t *testing.T) {
 	maxFlips, trials := 5, 3
 	if testing.Short() {
 		maxFlips, trials = 3, 2
 	}
-	cfg := func(workers int) Config {
-		return Config{Model: mutate.AND, MaxFlips: maxFlips, Workers: workers}
+	cfg := func(workers int, rn *runctl.Run) Config {
+		return Config{Model: mutate.AND, MaxFlips: maxFlips, Workers: workers, Run: rn}
 	}
-	baseline, err := Run(cfg(1))
-	if err != nil {
-		t.Fatal(err)
+	const sample = 7
+	baseline := runObserved(cfg(1, nil), sample)
+	if baseline.err != nil {
+		t.Fatal(baseline.err)
 	}
 	totalUnits := len(isa.BranchConds()) * (maxFlips + 1)
 	rng := rand.New(rand.NewSource(7))
@@ -56,19 +100,17 @@ func TestResumeByteIdentical(t *testing.T) {
 				cancel()
 			}
 		}
-		icfg := cfg(interruptedWorkers)
-		icfg.Run = rn
-		partial, runErr := Run(icfg)
+		partial := runObserved(cfg(interruptedWorkers, rn), sample)
 		cancel()
 		if err := rn.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if !errors.Is(runErr, runctl.ErrInterrupted) {
-			t.Fatalf("trial %d: killed run returned %v, want ErrInterrupted", trial, runErr)
+		if !errors.Is(partial.err, runctl.ErrInterrupted) {
+			t.Fatalf("trial %d: killed run returned %v, want ErrInterrupted", trial, partial.err)
 		}
-		if len(partial) >= len(baseline) {
+		if len(partial.results) >= len(baseline.results) {
 			t.Fatalf("trial %d: interrupted run returned %d conds, want fewer than %d",
-				trial, len(partial), len(baseline))
+				trial, len(partial.results), len(baseline.results))
 		}
 
 		rn2, err := runctl.Open(context.Background(), dir, resumeManifest(), true)
@@ -79,18 +121,73 @@ func TestResumeByteIdentical(t *testing.T) {
 			t.Fatalf("trial %d: checkpoint lost units: loaded %d, completed at least %d",
 				trial, rn2.Loaded(), killAfter)
 		}
-		rcfg := cfg(2)
-		rcfg.Run = rn2
-		resumed, err := Run(rcfg)
-		if err != nil {
-			t.Fatalf("trial %d: resume failed: %v", trial, err)
+		resumed := runObserved(cfg(2, rn2), sample)
+		if resumed.err != nil {
+			t.Fatalf("trial %d: resume failed: %v", trial, resumed.err)
 		}
 		if err := rn2.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(resumed, baseline) {
-			t.Fatalf("trial %d (killed after %d units, %d workers): resumed results differ from uninterrupted run",
-				trial, killAfter, interruptedWorkers)
+		if diff := sameObservation(resumed, baseline); diff != "" {
+			t.Fatalf("trial %d (killed after %d units, %d workers): resumed run: %s",
+				trial, killAfter, interruptedWorkers, diff)
+		}
+	}
+}
+
+// TestObservedResumeRerunsUnobservedUnits resumes observed runs over
+// checkpoints whose units carry no usable observation: one written by an
+// unobserved run, and one observed at another sampling rate. Every
+// restored unit must rerun, so the resumed run's results, trace and
+// metrics equal an uninterrupted observed run's.
+func TestObservedResumeRerunsUnobservedUnits(t *testing.T) {
+	const sample = 5
+	cfg := func(rn *runctl.Run) Config {
+		return Config{Model: mutate.AND, MaxFlips: 2, Workers: 2, Run: rn}
+	}
+	baseline := runObserved(cfg(nil), sample)
+	if baseline.err != nil {
+		t.Fatal(baseline.err)
+	}
+	for _, first := range []struct {
+		name   string
+		sample int // 0: unobserved
+	}{{"unobserved", 0}, {"other sampling", 3}} {
+		dir := t.TempDir()
+		rn, err := runctl.Open(context.Background(), dir, resumeManifest(), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first.sample == 0 {
+			_, err = Run(cfg(rn))
+		} else {
+			err = runObserved(cfg(rn), first.sample).err
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rn.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		rn2, err := runctl.Open(context.Background(), dir, resumeManifest(), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var reran atomic.Int64
+		rn2.Hooks.BeforeUnit = func(string) { reran.Add(1) }
+		resumed := runObserved(cfg(rn2), sample)
+		if err := rn2.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if resumed.err != nil {
+			t.Fatalf("%s checkpoint: resume failed: %v", first.name, resumed.err)
+		}
+		if units := int64(rn2.Loaded()); reran.Load() != units {
+			t.Errorf("%s checkpoint: reran %d units, want all %d", first.name, reran.Load(), units)
+		}
+		if diff := sameObservation(resumed, baseline); diff != "" {
+			t.Errorf("%s checkpoint: resumed run: %s", first.name, diff)
 		}
 	}
 }

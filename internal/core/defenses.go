@@ -9,6 +9,7 @@ import (
 	"glitchlab/internal/firmware"
 	"glitchlab/internal/glitcher"
 	"glitchlab/internal/isa"
+	"glitchlab/internal/obs"
 	"glitchlab/internal/passes"
 	"glitchlab/internal/pipeline"
 	"glitchlab/internal/runctl"
@@ -165,6 +166,26 @@ type Table6Cell struct {
 	Total      uint64
 	Successes  uint64
 	Detections uint64
+	// Obs holds the cell's per-attempt counters when the fault model is
+	// observed (Model.Obs set), and is nil otherwise.
+	Obs *Table6Obs `json:",omitempty"`
+}
+
+// Table6Obs splits a cell's Total attempts by path. Executed and
+// FastPathSkipped are counted on their own branches, so their sum
+// equalling Total is a check, not an identity.
+type Table6Obs struct {
+	Executed        uint64 // attempts emulated from reset
+	FastPathSkipped uint64 // attempts the model proves deliver no event
+	Steps           uint64 // instructions the emulated attempts retired
+}
+
+// observe adds an observed cell's counters to reg's table6.* metrics.
+func (c Table6Cell) observe(reg *obs.Registry) {
+	reg.Counter("table6.attempts_total").Add(c.Total)
+	reg.Counter("table6.executed_total").Add(c.Obs.Executed)
+	reg.Counter("table6.fast_path_skipped_total").Add(c.Obs.FastPathSkipped)
+	reg.Counter("table6.steps_retired_total").Add(c.Obs.Steps)
 }
 
 // SuccessRate returns successes/total.
@@ -208,10 +229,11 @@ func Table6Scenarios() []Scenario {
 const table6Settle = 6_000
 
 // RunTable6Cell scans one (scenario, defense, attack) cell over the full
-// parameter grid. rn, when non-nil, is polled for cancellation every
-// spansCheckEvery grid points and between spans; an interrupted cell
-// returns its partial counts with an error wrapping runctl.ErrInterrupted
-// (the caller does not checkpoint partial cells).
+// parameter grid. When model.Obs is set the cell also carries its
+// per-attempt counters (Table6Cell.Obs). rn, when non-nil, is polled for
+// cancellation every spansCheckEvery grid points and between spans; an
+// interrupted cell returns its partial counts with an error wrapping
+// runctl.ErrInterrupted (the caller does not checkpoint partial cells).
 func RunTable6Cell(model *glitcher.Model, sc Scenario, cfg passes.Config,
 	attack Attack, rn *runctl.Run) (Table6Cell, error) {
 	cr, err := Compile(sc.Source, cfg)
@@ -254,6 +276,10 @@ func RunTable6Cell(model *glitcher.Model, sc Scenario, cfg passes.Config,
 	}
 
 	var cell Table6Cell
+	if model.Obs != nil {
+		cell.Obs = &Table6Obs{}
+	}
+	ob := cell.Obs
 	for _, sp := range spans {
 		if err := rn.Err(); err != nil {
 			return cell, err
@@ -280,11 +306,18 @@ func RunTable6Cell(model *glitcher.Model, sc Scenario, cfg passes.Config,
 				_, any = model.EventInContext(p, rel, 0, rel-sp.from)
 			}
 			if !any {
+				if ob != nil {
+					ob.FastPathSkipped++
+				}
 				return true
 			}
 			m.Board.Reset()
 			m.Glitch = model.RangePlan(p, sp.from, sp.to)
 			r := m.Run(bootCycles + uint64(sp.to) + table6Settle)
+			if ob != nil {
+				ob.Executed++
+				ob.Steps += r.Steps
+			}
 			switch {
 			case r.Reason == pipeline.StopHit && r.Tag == "success":
 				cell.Successes++
@@ -382,7 +415,9 @@ func Table6Configs(sensitive ...string) []passes.Config {
 // board, whose flash (and, in the All configuration, the random-delay
 // seed persisted there) carries over from attempt to attempt. progress,
 // when non-nil, is called once per restored or completed cell, in table
-// order, from the calling goroutine.
+// order, from the calling goroutine. When model.Obs is set, the same
+// ordered emit adds each cell's per-attempt counters to the table6.*
+// metrics, and a resume reruns every cell checkpointed without them.
 //
 // rn, when non-nil, threads the run controller through the matrix: each
 // cell is a checkpointed work unit, skipped on resume and quarantined on
@@ -417,11 +452,15 @@ func RunTable6(model *glitcher.Model, workers int, progress func(sc, cfg string,
 	err := runctl.Pool[Table6Cell]{
 		Keys:    keys,
 		Workers: workers,
-		Start: func() (func(int) (Table6Cell, error), func(), error) {
-			return runCell, nil, nil
+		Start: func() (func(int) (Table6Cell, error), error) {
+			return runCell, nil
 		},
+		Restored: func(cell Table6Cell) bool { return model.Obs == nil || cell.Obs != nil },
 		Emit: func(i int, cell Table6Cell) {
 			u := units[i]
+			if model.Obs != nil {
+				cell.observe(model.Obs.Registry())
+			}
 			res.Cells[u.sc.Name][u.cfg.Name()][u.attack] = cell
 			if progress != nil {
 				progress(u.sc.Name, u.cfg.Name(), u.attack, cell)

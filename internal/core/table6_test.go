@@ -13,6 +13,7 @@ import (
 
 	"glitchlab/internal/core"
 	"glitchlab/internal/glitcher"
+	"glitchlab/internal/obs"
 	"glitchlab/internal/passes"
 	"glitchlab/internal/report"
 	"glitchlab/internal/runctl"
@@ -219,5 +220,112 @@ func TestTable6MatchesResults(t *testing.T) {
 	}
 	if len(seen) != len(order) || !inOrder(seen) {
 		t.Errorf("resumed run reported cells %v, want all %d in table order", seen, len(order))
+	}
+}
+
+// TestTable6ObservedCounters runs the Table VI pool observed over its
+// three cheapest cells, with the other nine restored from a checkpoint
+// that carries their observations, plus one cheap cell checkpointed
+// without one. The unobserved cell must rerun; the observed cells must
+// count the same as unobserved ones, split Total into emulated and
+// fast-path-skipped attempts on separate branches, and sum into the
+// table6.* counters at emit.
+func TestTable6ObservedCounters(t *testing.T) {
+	cheap := []string{
+		"if(a==SUCCESS)|All|Single",
+		"if(a==SUCCESS)|All\\Delay|Single",
+		"if(a==SUCCESS)|All\\Delay|10 Cycles",
+	}
+	dir := t.TempDir()
+	manifest := runctl.Manifest{Tool: "core-test", ConfigHash: "sha256:t6obs", Seed: core.DefaultSeed}
+	pre, err := runctl.Open(context.Background(), dir, manifest, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := glitcher.NewModel(core.DefaultSeed)
+	cells := table6Cells()
+	want := map[string]core.Table6Cell{}
+	for i, c := range cells {
+		key := fmt.Sprintf("table6 scenario=%s config=%s attack=%s", c.sc.Name, c.cfg.Name(), c.attack)
+		if slices.Contains(cheap, c.id) {
+			cell, err := core.RunTable6Cell(bare, c.sc, c.cfg, c.attack, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cell.Obs != nil {
+				t.Fatalf("%s: an unobserved cell carries %+v", c.id, cell.Obs)
+			}
+			want[c.id] = cell
+			if c.id == cheap[0] { // a record without an observation
+				if err := pre.Complete(key, cell); err != nil {
+					t.Fatal(err)
+				}
+			}
+			continue
+		}
+		n := uint64(i + 1)
+		want[c.id] = core.Table6Cell{Total: 10 * n, Successes: 1, Detections: 2,
+			Obs: &core.Table6Obs{Executed: 3 * n, FastPathSkipped: 7 * n, Steps: 100 * n}}
+		if err := pre.Complete(key, want[c.id]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := pre.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rn, err := runctl.Open(context.Background(), dir, manifest, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rn.Close()
+	var mu sync.Mutex
+	var ran []string
+	rn.Hooks.BeforeUnit = func(unit string) {
+		mu.Lock()
+		ran = append(ran, unit)
+		mu.Unlock()
+	}
+	reg := obs.NewRegistry()
+	model := glitcher.NewModel(core.DefaultSeed)
+	model.Obs = glitcher.NewObs(reg, nil)
+	res, err := core.RunTable6(model, 2, nil, rn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ran) != len(cheap) {
+		t.Errorf("pool ran %d cells %q, want the %d cheap ones", len(ran), ran, len(cheap))
+	}
+	var attempts, executed, skipped, steps uint64
+	for _, c := range cells {
+		got := res.Cells[c.sc.Name][c.cfg.Name()][c.attack]
+		w := want[c.id]
+		if got.Total != w.Total || got.Successes != w.Successes || got.Detections != w.Detections {
+			t.Errorf("%s = %+v, want the counts of %+v", c.id, got, w)
+		}
+		if got.Obs == nil {
+			t.Fatalf("%s: observed cell carries no observation", c.id)
+		}
+		if got.Obs.Executed+got.Obs.FastPathSkipped != got.Total {
+			t.Errorf("%s: executed %d + skipped %d != total %d",
+				c.id, got.Obs.Executed, got.Obs.FastPathSkipped, got.Total)
+		}
+		if slices.Contains(cheap, c.id) && (got.Obs.Executed == 0 || got.Obs.FastPathSkipped == 0 || got.Obs.Steps == 0) {
+			t.Errorf("%s: computed cell observed %+v, want emulated and fast-path attempts, and steps", c.id, got.Obs)
+		}
+		attempts += got.Total
+		executed += got.Obs.Executed
+		skipped += got.Obs.FastPathSkipped
+		steps += got.Obs.Steps
+	}
+	for name, want := range map[string]uint64{
+		"table6.attempts_total":          attempts,
+		"table6.executed_total":          executed,
+		"table6.fast_path_skipped_total": skipped,
+		"table6.steps_retired_total":     steps,
+	} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
 	}
 }

@@ -65,11 +65,6 @@ type Hooks struct {
 	OnStore func(addr uint32, size uint32, val uint32)
 	// OnExec observes each instruction immediately before it executes.
 	OnExec func(addr uint32, in isa.Inst)
-	// OnFault observes every hardware fault Step raises, before it is
-	// returned as an error. Observability counters (internal/obs) latch
-	// onto this; the zero-value hook keeps the hot path branch-predictable
-	// and allocation-free.
-	OnFault func(f *Fault)
 }
 
 // CPU is an ARMv6-M Thumb core.
@@ -136,19 +131,9 @@ func (c *CPU) fetch16(addr uint32) (uint16, error) {
 	return hw, nil
 }
 
-// Step executes one instruction and returns its cycle cost.
-func (c *CPU) Step() (int, error) {
-	cost, err := c.step()
-	if err != nil && c.Hooks.OnFault != nil {
-		// step only ever returns bare *Fault errors (besides ErrStepLimit
-		// from Run), so a type assertion keeps this off the reflection
-		// path errors.As would take — Step is the emulator's hot loop.
-		if f, ok := err.(*Fault); ok {
-			c.Hooks.OnFault(f)
-		}
-	}
-	return cost, err
-}
+// Step executes one instruction and returns its cycle cost. A fault is
+// returned as a bare *Fault; the observers count it from the run's result.
+func (c *CPU) Step() (int, error) { return c.step() }
 
 func (c *CPU) step() (int, error) {
 	pc := c.R[isa.PC]

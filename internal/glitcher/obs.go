@@ -1,7 +1,7 @@
 package glitcher
 
 import (
-	"sync"
+	"strings"
 
 	"glitchlab/internal/emu"
 	"glitchlab/internal/obs"
@@ -24,16 +24,19 @@ const (
 )
 
 // Obs instruments parameter-space scans and searches: attempt/success
-// counters, per-(width, offset)-cell success-rate accounting with summary
-// coverage gauges, emulator fault counters, and trace records. Attach one
-// to Model.Obs before running scans; a nil *Obs disables instrumentation.
-// Obs itself is single-goroutine (the search calls it directly); every
-// scan worker records into its own ObsShard, whose Flush merges into the
-// parent under mu — the only lock on the scan path.
+// counters, a per-(width, offset)-cell heatmap with summary coverage
+// gauges, emulator fault counters, and trace records. Attach one to
+// Model.Obs before running scans; a nil *Obs disables instrumentation.
+//
+// A scan's width row and a whole search are each one work unit. The unit
+// fills its own UnitObs in plain memory, and Merge adds it to the
+// registry and the trace. A scan merges its rows in row order on the
+// goroutine that ran it, restored rows included, and a search merges its
+// one observation when it returns. The best-cell gauges are evaluated at
+// each merge: after every row, and once per search.
 type Obs struct {
 	reg    *obs.Registry
 	tracer *obs.Tracer
-	mu     sync.Mutex // guards the cell fields during shard merges
 
 	attempts  *obs.Counter
 	successes *obs.Counter
@@ -51,7 +54,7 @@ type Obs struct {
 }
 
 // NewObs builds a scan observer recording into reg and, when tracer is
-// non-nil, emitting trace records.
+// non-nil, emitting trace records at the tracer's sampling rate.
 func NewObs(reg *obs.Registry, tracer *obs.Tracer) *Obs {
 	o := &Obs{
 		reg:        reg,
@@ -71,86 +74,51 @@ func NewObs(reg *obs.Registry, tracer *obs.Tracer) *Obs {
 	return o
 }
 
+// Registry returns the registry o records into.
+func (o *Obs) Registry() *obs.Registry { return o.reg }
+
 // cellIndex maps a parameter point to its heatmap slot.
 func cellIndex(p Params) int {
 	return (p.Width+ParamRange)*(2*ParamRange+1) + (p.Offset + ParamRange)
 }
 
-// AttachTarget wires the observer's fault counters into a target's CPU.
-func (o *Obs) AttachTarget(t *Target) {
+// UnitObs is one work unit's observation: a scan's width row, or a whole
+// search. A scan row travels inside the row's checkpointed result, so a
+// resumed scan merges the same observation an uninterrupted one does. A
+// nil *UnitObs (from a nil Obs) records nothing.
+type UnitObs struct {
+	Steps  uint64                          `json:"steps"`
+	Faults [emu.FaultSupervisor + 1]uint64 `json:"faults"` // by emu.FaultKind
+	First  int                             `json:"first"`  // heatmap cell of Tries[0]
+	Tries  []uint32                        `json:"tries"`
+	Hits   []uint32                        `json:"hits"`
+	Trace  *obs.UnitTrace[attemptRecord]   `json:"trace,omitempty"`
+}
+
+// attemptRecord is one attempt's trace record: a success, kept by the
+// sampling rule, or a fault, kept in the failure ring. It becomes an
+// attrs map only when it is written.
+type attemptRecord struct {
+	Width  int                 `json:"width"`
+	Offset int                 `json:"offset"`
+	Reason pipeline.StopReason `json:"reason"`
+	Steps  uint64              `json:"steps"`
+	Cycles uint64              `json:"cycles"`
+	Tag    string              `json:"tag,omitempty"`
+	Fault  emu.FaultKind       `json:"fault,omitempty"`
+}
+
+// Unit starts the observation of the unit named key, whose attempts fall
+// in the heatmap cells [first, first+n). It returns nil when o is nil.
+func (o *Obs) Unit(key string, first, n int) *UnitObs {
 	if o == nil {
-		return
+		return nil
 	}
-	t.Board.CPU.Hooks.OnFault = func(f *emu.Fault) {
-		o.reg.Counter(metricFaults + metricSegment(f.Kind.String())).Inc()
-	}
-}
-
-// metricSegment lowercases a display name into a metric-name segment.
-func metricSegment(s string) string {
-	b := []byte(s)
-	for i, c := range b {
-		if c == ' ' {
-			b[i] = '_'
-		}
-	}
-	return string(b)
-}
-
-// Attempt accounts one glitch attempt at parameter point p.
-func (o *Obs) Attempt(p Params, r pipeline.Result) {
-	if o == nil {
-		return
-	}
-	o.attempts.Inc()
-	o.steps.Add(r.Steps)
-	i := cellIndex(p)
-	if o.cellTries[i] == 0 {
-		o.nTried++
-		o.tried.Set(float64(o.nTried))
-		o.coverage.Set(float64(o.nTried) / GridSize)
-	}
-	o.cellTries[i]++
-	success := r.Reason == pipeline.StopHit
-	if success {
-		o.successes.Inc()
-		if o.cellHits[i] == 0 {
-			o.nHit++
-			o.hit.Set(float64(o.nHit))
-		}
-		o.cellHits[i]++
-	}
-	// Track the best cell seen so far (rates can decay as a cell gathers
-	// failed attempts; the gauge is "best ever observed", which is what a
-	// live dashboard wants during a scan).
-	if rate := float64(o.cellHits[i]) / float64(o.cellTries[i]); rate > o.best {
-		o.best = rate
-		o.bestRate.Set(rate)
-		o.bestWidth.Set(float64(p.Width))
-		o.bestOffset.Set(float64(p.Offset))
-	}
-	o.trace(p, r, success)
-}
-
-// trace emits the per-attempt trace records (successes and faults). The
-// tracer is safe for concurrent use, so shards call this directly.
-func (o *Obs) trace(p Params, r pipeline.Result, success bool) {
-	if o.tracer == nil || (!success && r.Reason != pipeline.StopFault) {
-		return
-	}
-	attrs := map[string]any{
-		"width":  p.Width,
-		"offset": p.Offset,
-		"reason": r.Reason.String(),
-		"steps":  r.Steps,
-		"cycles": r.Cycles,
-	}
-	if success {
-		attrs["tag"] = r.Tag
-		o.tracer.Event("scan.success", attrs)
-	} else {
-		attrs["fault"] = r.Fault.String()
-		o.tracer.Failure("scan.attempt", attrs)
+	return &UnitObs{
+		First: first,
+		Tries: make([]uint32, n),
+		Hits:  make([]uint32, n),
+		Trace: obs.NewUnitTrace[attemptRecord](o.tracer, key),
 	}
 }
 
@@ -158,31 +126,100 @@ func (o *Obs) trace(p Params, r pipeline.Result, success bool) {
 // cannot disturb the run: the scan skips the emulation, but the paper's
 // hardware rig would have burned a real attempt there, and the scan
 // results count it, so the observer must too.
-func (o *Obs) NoEffect(p Params) {
+func (u *UnitObs) NoEffect(p Params) {
+	if u == nil {
+		return
+	}
+	u.Tries[cellIndex(p)-u.First]++
+}
+
+// Attempt accounts one emulated glitch attempt at parameter point p.
+func (u *UnitObs) Attempt(p Params, r pipeline.Result) {
+	if u == nil {
+		return
+	}
+	u.Steps += r.Steps
+	i := cellIndex(p) - u.First
+	u.Tries[i]++
+	rec := attemptRecord{Width: p.Width, Offset: p.Offset, Reason: r.Reason,
+		Steps: r.Steps, Cycles: r.Cycles, Tag: r.Tag, Fault: r.Fault}
+	switch r.Reason {
+	case pipeline.StopHit:
+		u.Hits[i]++
+		if u.Trace != nil && u.Trace.Sampled() {
+			u.Trace.Kept = append(u.Trace.Kept, rec)
+		}
+	case pipeline.StopFault:
+		u.Faults[r.Fault]++
+		if u.Trace != nil {
+			u.Trace.Fail(rec)
+		}
+	}
+}
+
+// Merge adds one unit's observation to the registry (counters, heatmap,
+// grid gauges) and writes its trace records. Call it in unit order, on
+// one goroutine.
+func (o *Obs) Merge(u *UnitObs) {
 	if o == nil {
 		return
 	}
-	o.attempts.Inc()
-	i := cellIndex(p)
-	if o.cellTries[i] == 0 {
-		o.nTried++
-		o.tried.Set(float64(o.nTried))
-		o.coverage.Set(float64(o.nTried) / GridSize)
+	o.steps.Add(u.Steps)
+	for k, n := range u.Faults {
+		if k != int(emu.FaultNone) && n != 0 {
+			name := strings.ReplaceAll(emu.FaultKind(k).String(), " ", "_")
+			o.reg.Counter(metricFaults + name).Add(n)
+		}
 	}
-	o.cellTries[i]++
+	var attempts, successes uint64 // every attempt has its cell
+	for j, n := range u.Tries {
+		if n == 0 {
+			continue
+		}
+		attempts += uint64(n)
+		successes += uint64(u.Hits[j])
+		i := u.First + j
+		if o.cellTries[i] == 0 {
+			o.nTried++
+		}
+		o.cellTries[i] += n
+		if h := u.Hits[j]; h != 0 {
+			if o.cellHits[i] == 0 {
+				o.nHit++
+			}
+			o.cellHits[i] += h
+		}
+		if rate := float64(o.cellHits[i]) / float64(o.cellTries[i]); rate > o.best {
+			side := 2*ParamRange + 1
+			o.best = rate
+			o.bestRate.Set(rate)
+			o.bestWidth.Set(float64(i/side - ParamRange))
+			o.bestOffset.Set(float64(i%side - ParamRange))
+		}
+	}
+	o.attempts.Add(attempts)
+	o.successes.Add(successes)
+	o.tried.Set(float64(o.nTried))
+	o.coverage.Set(float64(o.nTried) / GridSize)
+	o.hit.Set(float64(o.nHit))
+	obs.WriteUnit(o.tracer, u.Trace, "scan.success", "scan.attempt", attemptRecord.attrs)
 }
 
-// CellRate returns the observed success rate of one (width, offset) cell
-// and the number of attempts behind it.
-func (o *Obs) CellRate(p Params) (rate float64, attempts uint64) {
-	if o == nil {
-		return 0, 0
+// attrs renders the record as its trace attributes.
+func (rec attemptRecord) attrs() map[string]any {
+	a := map[string]any{
+		"width":  rec.Width,
+		"offset": rec.Offset,
+		"reason": rec.Reason.String(),
+		"steps":  rec.Steps,
+		"cycles": rec.Cycles,
 	}
-	i := cellIndex(p)
-	if o.cellTries[i] == 0 {
-		return 0, 0
+	if rec.Reason == pipeline.StopHit {
+		a["tag"] = rec.Tag
+	} else {
+		a["fault"] = rec.Fault.String()
 	}
-	return float64(o.cellHits[i]) / float64(o.cellTries[i]), uint64(o.cellTries[i])
+	return a
 }
 
 // Span opens a tracer span (nil-safe).
@@ -193,129 +230,11 @@ func (o *Obs) Span(name string, attrs map[string]any) *obs.Span {
 	return o.tracer.StartSpan(name, attrs)
 }
 
-// Event emits a tracer event (nil-safe).
+// Event writes a tracer event (nil-safe). The search's milestones use it:
+// they are rare, so every one is written.
 func (o *Obs) Event(name string, attrs map[string]any) {
 	if o == nil {
 		return
 	}
 	o.tracer.Event(name, attrs)
-}
-
-// guardAttrs is the common span attribute set for per-guard scans.
-func guardAttrs(g Guard) map[string]any {
-	return map[string]any{"guard": g.String()}
-}
-
-// cellParams is the inverse of cellIndex.
-func cellParams(i int) Params {
-	side := 2*ParamRange + 1
-	return Params{Width: i/side - ParamRange, Offset: i%side - ParamRange}
-}
-
-// ObsShard is a per-worker observation buffer for scans, built on the same
-// batching idea as obs.HistShard: the per-attempt path writes plain
-// worker-local memory, and Flush merges everything into the parent Obs in
-// one locked pass. Because every attempt lands in exactly one shard and
-// every shard is flushed before a scan returns, the flushed counters and
-// coverage gauges are exact and do not depend on the worker count.
-// A nil *ObsShard (from a nil parent) disables instrumentation.
-type ObsShard struct {
-	o                   *Obs
-	attempts, successes uint64
-	steps               uint64
-	cellTries, cellHits []uint32
-}
-
-// Shard returns a fresh worker-local observation buffer, or nil when o is
-// nil. Not safe for concurrent use; give each worker its own shard.
-func (o *Obs) Shard() *ObsShard {
-	if o == nil {
-		return nil
-	}
-	return &ObsShard{
-		o:         o,
-		cellTries: make([]uint32, GridSize),
-		cellHits:  make([]uint32, GridSize),
-	}
-}
-
-// Attempt accounts one glitch attempt at parameter point p.
-func (s *ObsShard) Attempt(p Params, r pipeline.Result) {
-	if s == nil {
-		return
-	}
-	s.attempts++
-	s.steps += r.Steps
-	i := cellIndex(p)
-	s.cellTries[i]++
-	success := r.Reason == pipeline.StopHit
-	if success {
-		s.successes++
-		s.cellHits[i]++
-	}
-	s.o.trace(p, r, success)
-}
-
-// NoEffect accounts a parameter point the model proves cannot disturb the
-// run (see Obs.NoEffect).
-func (s *ObsShard) NoEffect(p Params) {
-	if s == nil {
-		return
-	}
-	s.attempts++
-	s.cellTries[cellIndex(p)]++
-}
-
-// Flush merges the shard into its parent Obs and resets the shard. The
-// shared counters take batched atomic adds; the cell heatmap, coverage
-// gauges and best-cell gauges are updated under the parent's merge lock.
-// The best-cell gauge is evaluated at merge granularity, so it can differ
-// from what Obs.Attempt's per-attempt tracking would report (a cell's rate
-// is seen when its worker's shard flushes, not after each attempt); the
-// coverage and tried/hit cell counts are exact.
-func (s *ObsShard) Flush() {
-	if s == nil {
-		return
-	}
-	o := s.o
-	if s.attempts != 0 {
-		o.attempts.Add(s.attempts)
-	}
-	if s.successes != 0 {
-		o.successes.Add(s.successes)
-	}
-	if s.steps != 0 {
-		o.steps.Add(s.steps)
-	}
-	o.mu.Lock()
-	for i, n := range s.cellTries {
-		if n == 0 {
-			continue
-		}
-		if o.cellTries[i] == 0 {
-			o.nTried++
-		}
-		o.cellTries[i] += n
-		if h := s.cellHits[i]; h != 0 {
-			if o.cellHits[i] == 0 {
-				o.nHit++
-			}
-			o.cellHits[i] += h
-		}
-		if rate := float64(o.cellHits[i]) / float64(o.cellTries[i]); rate > o.best {
-			p := cellParams(i)
-			o.best = rate
-			o.bestRate.Set(rate)
-			o.bestWidth.Set(float64(p.Width))
-			o.bestOffset.Set(float64(p.Offset))
-		}
-	}
-	o.tried.Set(float64(o.nTried))
-	o.coverage.Set(float64(o.nTried) / GridSize)
-	o.hit.Set(float64(o.nHit))
-	o.mu.Unlock()
-	s.attempts, s.successes, s.steps = 0, 0, 0
-	for i := range s.cellTries {
-		s.cellTries[i], s.cellHits[i] = 0, 0
-	}
 }

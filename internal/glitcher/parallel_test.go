@@ -1,8 +1,10 @@
 package glitcher
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
+	"time"
 
 	"glitchlab/internal/obs"
 )
@@ -36,61 +38,22 @@ func TestGridBandMatchesGridOrder(t *testing.T) {
 	}
 }
 
-// scanCounters are the observer metrics that must match exactly between
-// scans at different worker counts, and between Obs's per-attempt
-// recording and flushed shards. (The best-cell gauges are excluded by
-// design: Obs tracks "best rate ever observed" per attempt, while shards
-// evaluate cells at merge granularity.)
-var scanCounters = []string{
-	MetricAttempts, MetricSuccesses, MetricSteps,
-	MetricGridTried, MetricGridHit, MetricCoverage,
-}
-
-func newScanObs() (*Obs, *obs.Registry) {
-	reg := obs.NewRegistry()
-	return NewObs(reg, nil), reg
-}
-
-func checkScanCounters(t *testing.T, label string, sreg, preg *obs.Registry) {
-	t.Helper()
-	ss, ps := sreg.Snapshot(), preg.Snapshot()
-	sm := map[string]float64{}
-	for _, c := range ss.Counters {
-		sm[c.Name] = float64(c.Value)
-	}
-	for _, g := range ss.Gauges {
-		sm[g.Name] = g.Value
-	}
-	pm := map[string]float64{}
-	for _, c := range ps.Counters {
-		pm[c.Name] = float64(c.Value)
-	}
-	for _, g := range ps.Gauges {
-		pm[g.Name] = g.Value
-	}
-	for _, name := range scanCounters {
-		if sm[name] != pm[name] {
-			t.Errorf("%s: %s = %v sharded, want %v (serial)", label, name, pm[name], sm[name])
-		}
-	}
-}
-
 // TestTable1WorkersMatchesSerial is the scan-side golden-equivalence
 // contract: a band-sharded Table I scan must reproduce the serial result
-// field for field, and the flushed observer counters must match exactly.
+// field for field, and leave the identical observer state.
 func TestTable1WorkersMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full grid scan")
 	}
 	m := NewModel(7)
-	sobs, sreg := newScanObs()
-	m.Obs = sobs
+	sreg := obs.NewRegistry()
+	m.Obs = NewObs(sreg, nil)
 	serial, err := m.RunTable1(GuardWhileA, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pobs, preg := newScanObs()
-	m.Obs = pobs
+	preg := obs.NewRegistry()
+	m.Obs = NewObs(preg, nil)
 	parallel, err := m.RunTable1(GuardWhileA, 3, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +61,9 @@ func TestTable1WorkersMatchesSerial(t *testing.T) {
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Error("sharded Table I differs from serial")
 	}
-	checkScanCounters(t, "table1", sreg, preg)
+	if ss, ps := sreg.Snapshot(), preg.Snapshot(); !reflect.DeepEqual(ss, ps) {
+		t.Errorf("sharded observer state differs from serial:\n%s\nvs\n%s", ps.Text(), ss.Text())
+	}
 }
 
 func TestTable2WorkersMatchesSerial(t *testing.T) {
@@ -137,42 +102,37 @@ func TestTable3WorkersMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestObsShardFlushMatchesSerial feeds the same attempt stream through a
-// serial Obs and through several shards, and requires identical counter
-// and heatmap state after the flush.
-func TestObsShardFlushMatchesSerial(t *testing.T) {
-	m := NewModel(11)
-	tgt, err := NewTarget(GuardWhileA, GuardWhileA.SingleLoopSource())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	sobs, sreg := newScanObs()
-	pobs, preg := newScanObs()
-	shards := []*ObsShard{pobs.Shard(), pobs.Shard(), pobs.Shard()}
-
-	i := 0
-	GridBand(-ParamRange, -ParamRange+6, func(p Params) bool {
-		if _, hit := m.EventAt(p, 4, 0); !hit {
-			sobs.NoEffect(p)
-			shards[i%len(shards)].NoEffect(p)
-		} else {
-			r := tgt.Attempt(m.Plan(p, 4))
-			sobs.Attempt(p, r)
-			shards[i%len(shards)].Attempt(p, r)
+// TestObservedScanWorkersIdentical runs one guard's observed Table I scan
+// at one and three workers, with a constant tracer clock and sampling on,
+// and requires byte-identical traces and equal metrics snapshots: rows
+// merge their observations in row order, whatever the schedule.
+func TestObservedScanWorkersIdentical(t *testing.T) {
+	run := func(workers int) ([]byte, obs.Snapshot) {
+		var buf bytes.Buffer
+		tr := obs.NewTracer(&buf)
+		tr.SetClock(func() time.Time { return time.Unix(1700000000, 0) })
+		tr.SetSampling(3)
+		reg := obs.NewRegistry()
+		m := NewModel(11)
+		m.Obs = NewObs(reg, tr)
+		if _, err := m.RunTable1(GuardWhileA, workers, nil); err != nil {
+			t.Fatal(err)
 		}
-		i++
-		return true
-	})
-	for _, s := range shards {
-		s.Flush()
+		tr.Close()
+		return buf.Bytes(), reg.Snapshot()
 	}
-	checkScanCounters(t, "shard flush", sreg, preg)
-	Grid(func(p Params) {
-		sr, sa := sobs.CellRate(p)
-		pr, pa := pobs.CellRate(p)
-		if sr != pr || sa != pa {
-			t.Fatalf("cell %+v: shard-merged rate %v/%d, serial %v/%d", p, pr, pa, sr, sa)
+	serialTrace, serialSnap := run(1)
+	parallelTrace, parallelSnap := run(3)
+	for _, want := range []string{`"name":"scan.success"`, `"type":"failure"`, `"name":"scan.table1"`} {
+		if !bytes.Contains(serialTrace, []byte(want)) {
+			t.Fatalf("trace holds no %s record:\n%s", want, serialTrace)
 		}
-	})
+	}
+	if !bytes.Equal(serialTrace, parallelTrace) {
+		t.Errorf("trace differs at 3 workers:\n--- 1 worker ---\n%s--- 3 workers ---\n%s",
+			serialTrace, parallelTrace)
+	}
+	if !reflect.DeepEqual(serialSnap, parallelSnap) {
+		t.Errorf("metrics differ at 3 workers:\n%s\nvs\n%s", serialSnap.Text(), parallelSnap.Text())
+	}
 }

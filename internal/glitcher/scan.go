@@ -181,9 +181,9 @@ func (r *Table1Result) UniqueValues() int {
 }
 
 // scanCycleBand runs the Table I body for one clock cycle over the width
-// band [lo, hi), returning the band's partial per-cycle counts. sink is
-// the worker's observer shard (nil when the scan is not observed).
-func (m *Model) scanCycleBand(t *Target, cycle, lo, hi int, sink *ObsShard) CycleCount {
+// band [lo, hi), returning the band's partial per-cycle counts. ob is the
+// unit's observation (nil when the scan is not observed).
+func (m *Model) scanCycleBand(t *Target, cycle, lo, hi int, ob *UnitObs) CycleCount {
 	cmpReg := t.Guard.ComparatorReg()
 	cc := CycleCount{
 		Cycle:       cycle,
@@ -198,11 +198,11 @@ func (m *Model) scanCycleBand(t *Target, cycle, lo, hi int, sink *ObsShard) Cycl
 		// skip the emulation (identical outcome, less time).
 		ev, hit := m.EventAt(p, cycle, 0)
 		if !hit {
-			sink.NoEffect(p)
+			ob.NoEffect(p)
 			return true
 		}
 		r := t.Attempt(m.Plan(p, cycle))
-		sink.Attempt(p, r)
+		ob.Attempt(p, r)
 		if r.Reason == pipeline.StopHit {
 			cc.Successes++
 			cc.Values[r.Regs[cmpReg]]++
@@ -243,7 +243,7 @@ func (r *Table1Result) addCycle(cc CycleCount) {
 // partial table covering the completed rows is returned alongside the
 // error.
 func (m *Model) RunTable1(g Guard, workers int, rn *runctl.Run) (*Table1Result, error) {
-	defer m.Obs.Span("scan.table1", guardAttrs(g)).End()
+	defer m.Obs.Span("scan.table1", map[string]any{"guard": g.String()}).End()
 	merged, err := runRows(m, g, g.SingleLoopSource(), workers, rn, "table1",
 		LoopCycles,
 		func(cycle int) CycleCount {
@@ -254,10 +254,10 @@ func (m *Model) RunTable1(g Guard, workers int, rn *runctl.Run) (*Table1Result, 
 				ByKind:      map[pipeline.EventKind]uint64{},
 			}
 		},
-		func(t *Target, lo, hi int, sink *ObsShard) []CycleCount {
+		func(t *Target, lo, hi int, ob *UnitObs) []CycleCount {
 			parts := make([]CycleCount, 0, LoopCycles)
 			for cycle := 0; cycle < LoopCycles; cycle++ {
-				parts = append(parts, m.scanCycleBand(t, cycle, lo, hi, sink))
+				parts = append(parts, m.scanCycleBand(t, cycle, lo, hi, ob))
 			}
 			return parts
 		},
@@ -272,16 +272,23 @@ func (m *Model) RunTable1(g Guard, workers int, rn *runctl.Run) (*Table1Result, 
 	return res, err
 }
 
+// row is one width row's result, as the checkpoint stores it: one cell per
+// scanned cycle or range and, on an observed scan, the row's observation.
+type row[T any] struct {
+	Cells []T      `json:"cells"`
+	Obs   *UnitObs `json:"obs,omitempty"`
+}
+
 // runRows drives one guard scan over the grid on a runctl.Pool: a width
 // row (one width, every offset, every cell) is the unit of work. Every
 // worker has its own Target (boards are mutable, so none is ever shared),
-// rebuilt after a quarantine, and its own observer shard, flushed when it
-// exits. scan must return one cell per scanned unit (cycle or range
-// index), in the same order for every row; rows are summed ascending
-// with mergeCell into cells seeded by newCell, which makes the final
-// counts independent of the worker count — and of how a checkpointed run
-// was split across interruptions, since the unit is a property of the
-// grid, not of the schedule.
+// rebuilt after a quarantine. scan must return one cell per scanned unit
+// (cycle or range index), in the same order for every row; rows are
+// summed ascending with mergeCell into cells seeded by newCell, and their
+// observations merged in the same order, which makes the final counts,
+// metrics and trace independent of the worker count — and of how a
+// checkpointed run was split across interruptions, since the unit is a
+// property of the grid, not of the schedule.
 //
 // rn, when non-nil, threads the run controller through the scan: rows are
 // skipped when the checkpoint already holds them with the right cell
@@ -291,7 +298,7 @@ func (m *Model) RunTable1(g Guard, workers int, rn *runctl.Run) (*Table1Result, 
 // runctl.ErrInterrupted.
 func runRows[T any](m *Model, g Guard, src string, workers int,
 	rn *runctl.Run, exp string, cells int, newCell func(i int) T,
-	scan func(t *Target, lo, hi int, sink *ObsShard) []T,
+	scan func(t *Target, lo, hi int, ob *UnitObs) []T,
 	mergeCell func(dst *T, part T)) ([]T, error) {
 
 	keys := make([]string, 2*ParamRange+1)
@@ -302,28 +309,32 @@ func runRows[T any](m *Model, g Guard, src string, workers int,
 	for i := range merged {
 		merged[i] = newCell(i)
 	}
-	err := runctl.Pool[[]T]{
+	err := runctl.Pool[row[T]]{
 		Keys:    keys,
 		Workers: workers,
-		Start: func() (func(int) ([]T, error), func(), error) {
+		Start: func() (func(int) (row[T], error), error) {
 			t, err := NewTarget(g, src)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			t.FullRun = m.FullRun
-			m.Obs.AttachTarget(t)
-			shard := m.Obs.Shard()
-			row := func(ri int) ([]T, error) {
+			scanRow := func(ri int) (row[T], error) {
 				lo := ri - ParamRange
-				return scan(t, lo, lo+1, shard), nil
+				ob := m.Obs.Unit(keys[ri], cellIndex(Params{Width: lo, Offset: -ParamRange}), 2*ParamRange+1)
+				return row[T]{scan(t, lo, lo+1, ob), ob}, nil
 			}
-			return row, shard.Flush, nil
+			return scanRow, nil
 		},
-		Restored: func(part []T) bool { return len(part) == cells },
-		Emit: func(_ int, part []T) {
+		// An observed scan needs every restored row's observation, kept
+		// under its tracer's settings; a row without one reruns.
+		Restored: func(r row[T]) bool {
+			return len(r.Cells) == cells && (m.Obs == nil || r.Obs != nil && r.Obs.Trace.Fits(m.Obs.tracer))
+		},
+		Emit: func(_ int, r row[T]) {
 			for i := range merged {
-				mergeCell(&merged[i], part[i])
+				mergeCell(&merged[i], r.Cells[i])
 			}
+			m.Obs.Merge(r.Obs)
 		},
 	}.Run(rn)
 	return merged, err
@@ -354,18 +365,18 @@ type table2Cell struct {
 
 // scanTable2Band runs the Table II body for one clock cycle over the
 // width band [lo, hi).
-func (m *Model) scanTable2Band(t *Target, cycle, lo, hi int, sink *ObsShard) table2Cell {
+func (m *Model) scanTable2Band(t *Target, cycle, lo, hi int, ob *UnitObs) table2Cell {
 	var cell table2Cell
 	GridBand(lo, hi, func(p Params) bool {
 		cell.Attempts++
 		// No event in the first window means the first loop can never be
 		// escaped — neither partial nor full.
 		if _, hit := m.EventAt(p, cycle, 0); !hit {
-			sink.NoEffect(p)
+			ob.NoEffect(p)
 			return true
 		}
 		r := t.Attempt(m.Plan(p, cycle))
-		sink.Attempt(p, r)
+		ob.Attempt(p, r)
 		switch {
 		case r.Reason == pipeline.StopHit:
 			cell.Full++
@@ -383,14 +394,14 @@ func (m *Model) scanTable2Band(t *Target, cycle, lo, hi int, sink *ObsShard) tab
 // with its own trigger; the same glitch parameters are delivered in both
 // windows. workers and rn work as in RunTable1.
 func (m *Model) RunTable2(g Guard, workers int, rn *runctl.Run) (*Table2Result, error) {
-	defer m.Obs.Span("scan.table2", guardAttrs(g)).End()
+	defer m.Obs.Span("scan.table2", map[string]any{"guard": g.String()}).End()
 	merged, err := runRows(m, g, g.DoubleLoopSource(), workers, rn, "table2",
 		LoopCycles,
 		func(int) table2Cell { return table2Cell{} },
-		func(t *Target, lo, hi int, sink *ObsShard) []table2Cell {
+		func(t *Target, lo, hi int, ob *UnitObs) []table2Cell {
 			parts := make([]table2Cell, 0, LoopCycles)
 			for cycle := 0; cycle < LoopCycles; cycle++ {
-				parts = append(parts, m.scanTable2Band(t, cycle, lo, hi, sink))
+				parts = append(parts, m.scanTable2Band(t, cycle, lo, hi, ob))
 			}
 			return parts
 		},
@@ -450,7 +461,7 @@ type table3Cell struct {
 
 // scanTable3Band runs the Table III body for one glitched range [0, n)
 // over the width band [lo, hi).
-func (m *Model) scanTable3Band(t *Target, n, lo, hi int, sink *ObsShard) table3Cell {
+func (m *Model) scanTable3Band(t *Target, n, lo, hi int, ob *UnitObs) table3Cell {
 	var cell table3Cell
 	GridBand(lo, hi, func(p Params) bool {
 		cell.Attempts++
@@ -459,11 +470,11 @@ func (m *Model) scanTable3Band(t *Target, n, lo, hi int, sink *ObsShard) table3C
 			_, any = m.EventAt(p, rel, 0)
 		}
 		if !any {
-			sink.NoEffect(p)
+			ob.NoEffect(p)
 			return true
 		}
 		r := t.Attempt(m.RangePlan(p, 0, n))
-		sink.Attempt(p, r)
+		ob.Attempt(p, r)
 		if r.Reason == pipeline.StopHit {
 			cell.Successes++
 		}
@@ -476,15 +487,15 @@ func (m *Model) scanTable3Band(t *Target, n, lo, hi int, sink *ObsShard) table3C
 // every clock cycle from the trigger up to n, for n in [10, 20], against
 // two subsequent loops. workers and rn work as in RunTable1.
 func (m *Model) RunTable3(g Guard, workers int, rn *runctl.Run) (*Table3Result, error) {
-	defer m.Obs.Span("scan.table3", guardAttrs(g)).End()
+	defer m.Obs.Span("scan.table3", map[string]any{"guard": g.String()}).End()
 	ns := longGlitchRanges()
 	merged, err := runRows(m, g, g.LongGlitchSource(), workers, rn, "table3",
 		len(ns),
 		func(int) table3Cell { return table3Cell{} },
-		func(t *Target, lo, hi int, sink *ObsShard) []table3Cell {
+		func(t *Target, lo, hi int, ob *UnitObs) []table3Cell {
 			parts := make([]table3Cell, 0, len(ns))
 			for _, n := range ns {
-				parts = append(parts, m.scanTable3Band(t, n, lo, hi, sink))
+				parts = append(parts, m.scanTable3Band(t, n, lo, hi, ob))
 			}
 			return parts
 		},

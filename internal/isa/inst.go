@@ -154,15 +154,6 @@ func (o Op) IsStore() bool {
 	return false
 }
 
-// IsBranch reports whether the operation can redirect control flow.
-func (o Op) IsBranch() bool {
-	switch o {
-	case OpBCond, OpB, OpBL, OpBX, OpBLX:
-		return true
-	}
-	return false
-}
-
 // Inst is a decoded Thumb instruction.
 type Inst struct {
 	Op   Op

@@ -30,7 +30,7 @@ func RegisterCLIFlags(fs *flag.FlagSet) *CLIFlags {
 		"write a JSONL execution trace to this file")
 	fs.StringVar(&f.ServeAddr, "serve", "",
 		"serve /metrics and /debug/pprof on this address while running")
-	fs.IntVar(&f.Sample, "trace-sample", 1000,
+	fs.IntVar(&f.Sample, "trace-sample", DefaultSampling,
 		"keep one trace event record in every N executions")
 	fs.IntVar(&f.RingSize, "trace-failures", DefaultFailureRing,
 		"post-mortem ring: keep the last N failed executions in the trace")

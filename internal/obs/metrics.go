@@ -2,7 +2,7 @@
 // registry (counters, gauges, fixed-bucket histograms) with text/JSON
 // snapshot renderers, an expvar publisher and an optional net/http
 // endpoint, plus a structured trace layer that emits JSONL span and event
-// records with sampling and a "last N failures" ring buffer.
+// records, a per-unit sampling rule and a "last N failures" ring buffer.
 //
 // The paper's evaluation rests on long exhaustive sweeps — the Section IV
 // bit-flip campaigns behind Figure 2 and the Section V parameter scans
@@ -97,70 +97,30 @@ func addFloat(bits *atomic.Uint64, delta float64) {
 	}
 }
 
-// HistShard is a single-goroutine accumulation buffer for a Histogram.
-// Hot loops that observe per emulated execution (the Section IV campaigns
-// retire millions of runs at a few hundred nanoseconds each) observe into
-// a shard at plain-memory cost and merge into the shared histogram with
-// Flush at progress boundaries; readers of the histogram lag by at most
-// one flush interval.
-type HistShard struct {
-	h       *Histogram
-	buckets []uint64
-	count   uint64
-	sum     float64
-}
-
-// Shard returns a fresh accumulation buffer for h. Not safe for concurrent
-// use; give each goroutine its own shard.
-func (h *Histogram) Shard() *HistShard {
-	return &HistShard{h: h, buckets: make([]uint64, len(h.buckets))}
-}
-
-// Observe records one observation into the shard (no atomics).
-func (s *HistShard) Observe(v float64) {
-	// Linear scan instead of binary search: campaign step counts live in
-	// the first few buckets, so this exits in 1-3 comparisons.
-	b := s.h.bounds
-	i := 0
-	for i < len(b) && v > b[i] {
-		i++
-	}
-	s.buckets[i]++
-	s.count++
-	s.sum += v
-}
-
-// ObservePow2 records an integer observation into a shard whose histogram
-// was built with ExpBuckets(1, 2, n): the bucket index is one bit-length
-// instruction instead of a bounds scan, which matters when observing per
-// emulated execution. Using it on any other bucket layout miscounts.
-func (s *HistShard) ObservePow2(v uint64) {
+// Pow2Bucket returns the bucket of integer v in a histogram built with
+// ExpBuckets(1, 2, n): one bit-length instruction instead of a bounds
+// search, which matters when bucketing per emulated execution. n, the
+// overflow bucket, is the largest index it returns.
+func Pow2Bucket(v uint64, n int) int {
 	i := 0
 	if v > 1 {
 		i = bits.Len64(v - 1)
 	}
-	if i >= len(s.buckets) {
-		i = len(s.buckets) - 1
-	}
-	s.buckets[i]++
-	s.count++
-	s.sum += float64(v)
+	return min(i, n)
 }
 
-// Flush merges the shard into its histogram and resets the shard.
-func (s *HistShard) Flush() {
-	if s.count == 0 {
-		return
+// Merge adds observations bucketed elsewhere: counts[i] observations in
+// bucket i (len(counts) is len(Bounds())+1, the last being the overflow
+// bucket) whose values sum to sum. A work unit buckets its observations
+// in plain memory, and its caller merges them once per unit.
+func (h *Histogram) Merge(counts []uint64, sum float64) {
+	var n uint64
+	for i, c := range counts {
+		h.buckets[i].Add(c)
+		n += c
 	}
-	for i, n := range s.buckets {
-		if n != 0 {
-			s.h.buckets[i].Add(n)
-			s.buckets[i] = 0
-		}
-	}
-	s.h.count.Add(s.count)
-	addFloat(&s.h.sumBits, s.sum)
-	s.count, s.sum = 0, 0
+	h.count.Add(n)
+	addFloat(&h.sumBits, sum)
 }
 
 // Count returns the number of observations.
@@ -179,15 +139,6 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	for i := range b {
 		b[i] = v
 		v *= factor
-	}
-	return b
-}
-
-// LinearBuckets returns n bounds start, start+step, start+2*step, ...
-func LinearBuckets(start, step float64, n int) []float64 {
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = start + float64(i)*step
 	}
 	return b
 }

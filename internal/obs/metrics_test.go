@@ -54,10 +54,6 @@ func TestBucketHelpers(t *testing.T) {
 	if want := []float64{1, 2, 4, 8}; !equalFloats(exp, want) {
 		t.Errorf("ExpBuckets = %v, want %v", exp, want)
 	}
-	lin := LinearBuckets(0, 5, 3)
-	if want := []float64{0, 5, 10}; !equalFloats(lin, want) {
-		t.Errorf("LinearBuckets = %v, want %v", lin, want)
-	}
 }
 
 func equalFloats(a, b []float64) bool {
@@ -134,49 +130,30 @@ func TestConcurrentHammer(t *testing.T) {
 	}
 }
 
-// TestShardMatchesObserve proves the shard paths (plain Observe and the
-// power-of-two fast path) land every value in the same bucket as the
-// histogram's atomic Observe.
-func TestShardMatchesObserve(t *testing.T) {
-	bounds := ExpBuckets(1, 2, 10)
-	direct := NewHistogram(bounds)
-	viaShard := NewHistogram(bounds)
-	viaPow2 := NewHistogram(bounds)
-	shard, pow2 := viaShard.Shard(), viaPow2.Shard()
+// TestMergeMatchesObserve proves the unit path — Pow2Bucket into plain
+// counts, then one Merge — lands every value in the same bucket, count
+// and sum as the histogram's atomic Observe.
+func TestMergeMatchesObserve(t *testing.T) {
+	const n = 10
+	direct := NewHistogram(ExpBuckets(1, 2, n))
+	merged := NewHistogram(ExpBuckets(1, 2, n))
+	counts := make([]uint64, n+1)
+	var sum uint64
 	for v := uint64(0); v <= 1030; v++ {
 		direct.Observe(float64(v))
-		shard.Observe(float64(v))
-		pow2.ObservePow2(v)
+		counts[Pow2Bucket(v, n)]++
+		sum += v
 	}
-	shard.Flush()
-	pow2.Flush()
+	merged.Merge(counts, float64(sum))
+	merged.Merge(make([]uint64, n+1), 0) // an empty unit changes nothing
 	for i := range direct.buckets {
-		want := direct.buckets[i].Load()
-		if got := viaShard.buckets[i].Load(); got != want {
-			t.Errorf("shard bucket[%d] = %d, want %d", i, got, want)
-		}
-		if got := viaPow2.buckets[i].Load(); got != want {
-			t.Errorf("pow2 bucket[%d] = %d, want %d", i, got, want)
+		if got, want := merged.buckets[i].Load(), direct.buckets[i].Load(); got != want {
+			t.Errorf("bucket[%d] = %d, want %d", i, got, want)
 		}
 	}
-	if direct.Count() != viaShard.Count() || direct.Count() != viaPow2.Count() {
-		t.Errorf("counts differ: %d / %d / %d",
-			direct.Count(), viaShard.Count(), viaPow2.Count())
-	}
-	if direct.Sum() != viaShard.Sum() || direct.Sum() != viaPow2.Sum() {
-		t.Errorf("sums differ: %v / %v / %v",
-			direct.Sum(), viaShard.Sum(), viaPow2.Sum())
-	}
-}
-
-func TestShardFlushIdempotent(t *testing.T) {
-	h := NewHistogram([]float64{1, 2})
-	s := h.Shard()
-	s.Observe(1)
-	s.Flush()
-	s.Flush() // second flush must not double-count
-	if h.Count() != 1 {
-		t.Errorf("count = %d, want 1", h.Count())
+	if direct.Count() != merged.Count() || direct.Sum() != merged.Sum() {
+		t.Errorf("count/sum = %d/%v, want %d/%v",
+			merged.Count(), merged.Sum(), direct.Count(), direct.Sum())
 	}
 }
 

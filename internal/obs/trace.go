@@ -20,6 +20,8 @@ import (
 // Failure records are re-emitted from the post-mortem ring buffer when the
 // tracer is closed, so the tail of the file always holds the last
 // FailureRing classified-failure executions even under heavy sampling.
+// The summary's attrs count the event records written (events_emitted),
+// the spans and the failures the ring holds (failures_captured).
 //
 // Every written record carries the schema version in "v". Version 1
 // predates the field, so a record with v of 0 is a v1 record; loaders
@@ -31,6 +33,8 @@ type Record struct {
 	TUs   int64          `json:"t_us"`
 	DurUs int64          `json:"dur_us,omitempty"`
 	Attrs map[string]any `json:"attrs,omitempty"`
+
+	lazy func() map[string]any // renders Attrs of a ring record on the way out
 }
 
 // TraceSchemaVersion is the trace record schema written by this Tracer.
@@ -40,17 +44,25 @@ const TraceSchemaVersion = 2
 // DefaultFailureRing is the default post-mortem capture depth.
 const DefaultFailureRing = 64
 
+// DefaultSampling is the default per-execution record rate: the engines
+// keep one record in every DefaultSampling (see Keep).
+const DefaultSampling = 1000
+
 // Tracer emits structured trace records to a JSONL sink. A nil *Tracer is
 // valid and every method on it is a no-op, so instrumentation can call
 // unconditionally. All methods are safe for concurrent use.
+//
+// The tracer writes every record it is given. Per-execution sampling is
+// the engines' job: each work unit's UnitTrace takes the tracer's rate
+// and keeps a record by the pure rule Keep, so which records a trace
+// holds depends on the work units alone, never on the worker schedule.
 type Tracer struct {
 	mu      sync.Mutex
 	w       io.Writer
 	enc     *json.Encoder
 	clock   func() time.Time
 	start   time.Time
-	every   uint64 // emit every Nth event record; 0 = emit none
-	seen    uint64
+	every   int // per-execution record rate unit traces are kept at
 	emitted uint64
 	spans   uint64
 	ring    []Record
@@ -60,13 +72,13 @@ type Tracer struct {
 }
 
 // NewTracer returns a tracer writing JSONL to w (which may be nil: records
-// are counted and failures ring-buffered, but nothing is written). Sampling
-// defaults to every event; tune with SetSampling.
+// are counted and failures ring-buffered, but nothing is written). The
+// sampling rate defaults to DefaultSampling; tune it with SetSampling.
 func NewTracer(w io.Writer) *Tracer {
 	t := &Tracer{
 		w:     w,
 		clock: time.Now,
-		every: 1,
+		every: DefaultSampling,
 		ring:  make([]Record, DefaultFailureRing),
 	}
 	if w != nil {
@@ -88,18 +100,16 @@ func (t *Tracer) SetClock(clock func() time.Time) {
 	t.start = clock()
 }
 
-// SetSampling keeps one event record in every n. n <= 0 disables event
-// records entirely (spans and the failure ring are always kept).
+// SetSampling sets the per-execution record rate: unit traces keep about
+// one record in every n (see Keep), and none when n <= 0. Spans,
+// milestone events and the failure ring are always kept.
 func (t *Tracer) SetSampling(n int) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if n < 0 {
-		n = 0
-	}
-	t.every = uint64(n)
+	t.every = max(n, 0)
 }
 
 // SetFailureRing resizes the post-mortem ring buffer to keep the last n
@@ -110,12 +120,16 @@ func (t *Tracer) SetFailureRing(n int) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if n < 0 {
-		n = 0
-	}
-	t.ring = make([]Record, n)
-	t.ringLen = 0
-	t.next = 0
+	t.ring = make([]Record, max(n, 0))
+	t.ringLen, t.next = 0, 0
+}
+
+// settings returns the sampling rate and the failure ring's capacity, the
+// two settings a unit trace is kept under.
+func (t *Tracer) settings() (every, ring int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.every, len(t.ring)
 }
 
 func (t *Tracer) sinceUs() int64 {
@@ -166,17 +180,13 @@ func (s *Span) End() {
 	})
 }
 
-// Event records one per-execution event, subject to sampling.
+// Event writes one event record.
 func (t *Tracer) Event(name string, attrs map[string]any) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.seen++
-	if t.every == 0 || t.seen%t.every != 0 {
-		return
-	}
 	t.emitted++
 	t.write(Record{Type: "event", Name: name, TUs: t.sinceUs(), Attrs: attrs})
 }
@@ -185,6 +195,12 @@ func (t *Tracer) Event(name string, attrs map[string]any) {
 // (always, regardless of sampling). The ring's contents are appended to
 // the sink as "failure" records when the tracer is closed.
 func (t *Tracer) Failure(name string, attrs map[string]any) {
+	t.failure(name, attrs, nil)
+}
+
+// failure is Failure with optionally deferred attrs: lazy, when non-nil,
+// renders them only if the record is still in the ring when it is read.
+func (t *Tracer) failure(name string, attrs map[string]any, lazy func() map[string]any) {
 	if t == nil {
 		return
 	}
@@ -193,7 +209,7 @@ func (t *Tracer) Failure(name string, attrs map[string]any) {
 	if len(t.ring) == 0 {
 		return
 	}
-	t.ring[t.next] = Record{Type: "failure", Name: name, TUs: t.sinceUs(), Attrs: attrs}
+	t.ring[t.next] = Record{Type: "failure", Name: name, TUs: t.sinceUs(), Attrs: attrs, lazy: lazy}
 	t.next = (t.next + 1) % len(t.ring)
 	if t.ringLen < len(t.ring) {
 		t.ringLen++
@@ -214,7 +230,11 @@ func (t *Tracer) failuresLocked() []Record {
 	out := make([]Record, 0, t.ringLen)
 	for i := 0; i < t.ringLen; i++ {
 		idx := (t.next - t.ringLen + i + len(t.ring)) % len(t.ring)
-		out = append(out, t.ring[idx])
+		rec := t.ring[idx]
+		if rec.lazy != nil {
+			rec.Attrs, rec.lazy = rec.lazy(), nil
+		}
+		out = append(out, rec)
 	}
 	return out
 }
@@ -237,7 +257,6 @@ func (t *Tracer) Close() {
 		Type: "summary",
 		TUs:  t.sinceUs(),
 		Attrs: map[string]any{
-			"events_seen":       t.seen,
 			"events_emitted":    t.emitted,
 			"spans":             t.spans,
 			"failures_captured": uint64(t.ringLen),

@@ -7,6 +7,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -28,7 +29,6 @@ func TestTracerGolden(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTracer(&buf)
 	tr.SetClock(fixedClock())
-	tr.SetSampling(2)
 	tr.SetFailureRing(2)
 
 	span := tr.StartSpan("campaign.run", map[string]any{"model": "AND"})
@@ -53,10 +53,10 @@ func TestTracerGolden(t *testing.T) {
 			t.Fatalf("line %d has no type: %s", lines, sc.Text())
 		}
 	}
-	// 1 sampled event (2 of 2 seen, every=2) + 1 span + 2 ring failures
-	// (ring size 2, oldest of 3 dropped) + 1 summary.
-	if lines != 5 {
-		t.Errorf("trace has %d lines, want 5:\n%s", lines, buf.String())
+	// 2 events + 1 span + 2 ring failures (ring size 2, oldest of 3
+	// dropped) + 1 summary.
+	if lines != 6 {
+		t.Errorf("trace has %d lines, want 6:\n%s", lines, buf.String())
 	}
 
 	path := filepath.Join("testdata", "trace.golden")
@@ -75,20 +75,116 @@ func TestTracerGolden(t *testing.T) {
 	}
 }
 
+// TestTracerSampling pins the sampling contract: the tracer writes every
+// event it is given and only carries the rate, and the engines' keep rule
+// is a pure function of (unit key, index) that keeps about one record in
+// every.
 func TestTracerSampling(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTracer(&buf)
+	if tr.every != DefaultSampling {
+		t.Errorf("default sampling = %d, want %d", tr.every, DefaultSampling)
+	}
 	tr.SetSampling(3)
 	for i := 0; i < 10; i++ {
 		tr.Event("e", nil)
 	}
-	if tr.emitted != 3 { // events 3, 6, 9
-		t.Errorf("emitted = %d, want 3", tr.emitted)
+	if lines := bytes.Count(buf.Bytes(), []byte("\n")); tr.emitted != 10 || lines != 10 {
+		t.Errorf("emitted = %d (%d lines), want every one of 10 events", tr.emitted, lines)
 	}
-	tr.SetSampling(0)
-	tr.Event("e", nil)
-	if tr.emitted != 3 {
-		t.Errorf("sampling 0 still emitted: %d", tr.emitted)
+	if tr.every != 3 {
+		t.Errorf("sampling = %d after SetSampling(3)", tr.every)
+	}
+	tr.SetSampling(-2)
+	if tr.every != 0 {
+		t.Errorf("sampling = %d after SetSampling(-2), want 0", tr.every)
+	}
+
+	const n = 100_000
+	seed, other := UnitSeed("campaign model=and zero=false pad=false cond=beq k=3"),
+		UnitSeed("campaign model=and zero=false pad=false cond=bne k=3")
+	for _, every := range []int{1, 7, 1000} {
+		kept, both := 0, 0
+		for j := uint64(0); j < n; j++ {
+			k := Keep(seed, j, every)
+			if k != Keep(seed, j, every) {
+				t.Fatalf("Keep(%d, %d) is not a pure function", j, every)
+			}
+			if k {
+				kept++
+				if Keep(other, j, every) {
+					both++
+				}
+			}
+		}
+		want := n / every
+		if kept < want*4/5 || kept > want*6/5 {
+			t.Errorf("every=%d kept %d of %d, want about %d", every, kept, n, want)
+		}
+		if every > 1 && both > 2*want/every+10 {
+			t.Errorf("every=%d: two units keep %d of the same indices, want about %d",
+				every, both, want/every)
+		}
+	}
+	for j := uint64(0); j < 100; j++ {
+		if Keep(seed, j, 0) || Keep(seed, j, -1) {
+			t.Fatal("every <= 0 must keep nothing")
+		}
+	}
+}
+
+// TestUnitTraceWritesInOrder checks a unit trace end to end: Fail keeps
+// the unit's last Ring failures, Fits matches the tracer's settings, and
+// WriteUnit writes the kept records and pushes the failures into the
+// tracer's ring oldest first.
+func TestUnitTraceWritesInOrder(t *testing.T) {
+	var buf bytes.Buffer
+	tr := NewTracer(&buf)
+	tr.SetClock(fixedClock())
+	tr.SetSampling(1)
+	tr.SetFailureRing(3)
+	u := NewUnitTrace[int](tr, "unit")
+	for i := 0; i < 20; i++ {
+		if !u.Sampled() {
+			t.Fatal("every = 1 must keep every record")
+		}
+		u.Kept = append(u.Kept, i)
+		u.Fail(i)
+		if len(u.Failed) > u.Ring {
+			t.Fatalf("%d failures kept, want at most %d", len(u.Failed), u.Ring)
+		}
+	}
+	if want := []int{18, 19, 17}; !reflect.DeepEqual(u.Failed, want) || u.Next != 2 {
+		t.Fatalf("failure ring %v next %d, want %v next 2", u.Failed, u.Next, want)
+	}
+	if !u.Fits(tr) || !u.Fits(nil) {
+		t.Error("a unit trace must fit the tracer it was made under")
+	}
+	var none *UnitTrace[int]
+	if none.Fits(tr) {
+		t.Error("a missing unit trace must not fit an observed run")
+	}
+	tr.SetSampling(2)
+	if u.Fits(tr) {
+		t.Error("a unit trace kept at another sampling rate must not fit")
+	}
+
+	rendered := 0
+	WriteUnit(tr, u, "e", "f", func(i int) map[string]any {
+		rendered++
+		return map[string]any{"i": i}
+	})
+	if rendered != 20 {
+		t.Errorf("rendered %d records before Close, want the 20 kept ones only", rendered)
+	}
+	got := tr.Failures()
+	if len(got) != 3 {
+		t.Fatalf("ring holds %d, want 3", len(got))
+	}
+	for k, rec := range got {
+		if want := 17 + k; rec.Attrs["i"] != want {
+			t.Errorf("ring[%d].i = %v, want %d", k, rec.Attrs["i"], want)
+		}
 	}
 }
 

@@ -17,8 +17,8 @@ import (
 // traceCampaign runs one instrumented AND k=0..2 campaign with a
 // constant tracer clock (every t_us and dur_us is zero, removing the
 // only schedule-dependent part of a trace record) and full sampling, and
-// returns the loaded trace plus the run's metrics snapshot.
-func traceCampaign(t *testing.T, workers int) (*query.Trace, obs.Snapshot) {
+// returns the raw and loaded trace plus the run's metrics snapshot.
+func traceCampaign(t *testing.T, workers int) ([]byte, *query.Trace, obs.Snapshot) {
 	t.Helper()
 	var buf bytes.Buffer
 	reg := obs.NewRegistry()
@@ -31,22 +31,27 @@ func traceCampaign(t *testing.T, workers int) (*query.Trace, obs.Snapshot) {
 		t.Fatal(err)
 	}
 	tr.Close()
+	raw := bytes.Clone(buf.Bytes())
 	trace, err := query.Load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return trace, reg.Snapshot()
+	return raw, trace, reg.Snapshot()
 }
 
 // TestTraceAnalyticsSerialParallelIdentical pins the glitchtrace
 // analytics to the campaign engine's golden-equivalence contract: the
-// same seeded campaign run serially and worker-sharded must produce
-// byte-identical rollup and critical-path renderings (the records arrive
-// in a different order, but the analytics are order-independent), an
-// identical failure count, and metrics snapshots whose diff is empty.
+// same seeded campaign run serially and worker-sharded must write
+// byte-identical traces (units merge their records in unit order), and
+// so byte-identical rollup and critical-path renderings, an identical
+// failure count, and metrics snapshots whose diff is empty.
 func TestTraceAnalyticsSerialParallelIdentical(t *testing.T) {
-	serialTrace, serialSnap := traceCampaign(t, 1)
-	parallelTrace, parallelSnap := traceCampaign(t, 4)
+	serialRaw, serialTrace, serialSnap := traceCampaign(t, 1)
+	parallelRaw, parallelTrace, parallelSnap := traceCampaign(t, 4)
+	if !bytes.Equal(serialRaw, parallelRaw) {
+		t.Errorf("trace bytes differ serial vs workers:\n--- serial ---\n%s--- parallel ---\n%s",
+			serialRaw, parallelRaw)
+	}
 
 	serialRollup := TraceRollup(serialTrace.Rollup(), serialTrace.Torn)
 	parallelRollup := TraceRollup(parallelTrace.Rollup(), parallelTrace.Torn)

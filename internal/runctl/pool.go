@@ -15,6 +15,12 @@ import (
 // error or on cancellation, and emits results in unit order on the calling
 // goroutine. One worker runs exactly the code many do, so a result depends
 // on the units alone, never on the worker count.
+//
+// An observed engine returns each unit's observation (counters, sampled
+// trace records, failures) inside the unit's result. The checkpoint then
+// stores it with the result, Restored can reject a unit restored without
+// one, and Emit merges it into the registry and the tracer. That single
+// ordered merge is all the synchronization observation needs.
 type Pool[R any] struct {
 	// Keys names every unit, in dispatch order, which is also emit order.
 	// A key is the unit's checkpoint record name.
@@ -23,10 +29,9 @@ type Pool[R any] struct {
 	// clamped to [1, units left to run].
 	Workers int
 	// Start builds one worker's state and returns the function that runs
-	// unit i on it. release, when non-nil, flushes and frees that state: it
-	// runs when the worker exits, and before a worker whose unit panicked
-	// builds fresh state for its next unit.
-	Start func() (unit func(i int) (R, error), release func(), err error)
+	// unit i on it. A worker whose unit panicked calls Start again before
+	// its next unit.
+	Start func() (unit func(i int) (R, error), err error)
 	// Restored, when non-nil, vets a result loaded from the checkpoint; a
 	// unit whose result it rejects reruns.
 	Restored func(r R) bool
@@ -66,7 +71,7 @@ type poolRun[R any] struct {
 // returns the first fatal error in unit order, or, when cancellation cut
 // units short, an error wrapping ErrInterrupted. Quarantined units are left
 // to rn.FinishErr, so that one run can span several pools. Every worker
-// has released its state when Run returns.
+// has exited when Run returns.
 func (p Pool[R]) Run(rn *Run) error {
 	s := &poolRun[R]{Pool: p, rn: rn, units: make([]poolUnit[R], len(p.Keys))}
 	for i := range s.units {
@@ -141,14 +146,6 @@ func (s *poolRun[R]) emit(wait bool) {
 // when non-nil, runs after each unit.
 func (s *poolRun[R]) work(after func()) {
 	var unit func(int) (R, error)
-	var release func()
-	drop := func() {
-		if release != nil {
-			release()
-		}
-		unit, release = nil, nil
-	}
-	defer drop()
 	for {
 		j := int(s.next.Add(1)) - 1
 		if j >= len(s.pending) {
@@ -162,7 +159,7 @@ func (s *poolRun[R]) work(after func()) {
 		case s.rn.Err() != nil:
 			u.err = s.rn.Err()
 		case unit == nil:
-			unit, release, u.err = s.Start()
+			unit, u.err = s.Start()
 		}
 		if u.err == nil {
 			key := s.Keys[i]
@@ -179,7 +176,7 @@ func (s *poolRun[R]) work(after func()) {
 		switch {
 		case errors.As(u.err, &pe):
 			// The worker's state may be wedged mid-unit: rebuild it.
-			drop()
+			unit = nil
 		case u.err != nil && !errors.Is(u.err, errAbandoned) && !errors.Is(u.err, ErrInterrupted):
 			s.failed.Store(true)
 		}

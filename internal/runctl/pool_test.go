@@ -21,8 +21,8 @@ func poolKeys(n int) []string {
 }
 
 // stateless wraps a unit function as a Start that builds no state.
-func stateless[R any](unit func(int) (R, error)) func() (func(int) (R, error), func(), error) {
-	return func() (func(int) (R, error), func(), error) { return unit, nil, nil }
+func stateless[R any](unit func(int) (R, error)) func() (func(int) (R, error), error) {
+	return func() (func(int) (R, error), error) { return unit, nil }
 }
 
 // emitted is an Emit sink that records the order of indices and results.
@@ -161,12 +161,12 @@ func TestPoolRestoresCheckpointedUnits(t *testing.T) {
 
 func TestPoolQuarantineRebuildsWorkerState(t *testing.T) {
 	rn := New(context.Background())
-	starts, releases := 0, 0
+	starts := 0
 	var out emitted[int]
 	err := Pool[int]{
 		Keys:    poolKeys(5),
 		Workers: 1,
-		Start: func() (func(int) (int, error), func(), error) {
+		Start: func() (func(int) (int, error), error) {
 			starts++
 			state := starts
 			unit := func(i int) (int, error) {
@@ -175,15 +175,15 @@ func TestPoolQuarantineRebuildsWorkerState(t *testing.T) {
 				}
 				return state, nil
 			}
-			return unit, func() { releases++ }, nil
+			return unit, nil
 		},
 		Emit: out.emit,
 	}.Run(rn)
 	if err != nil {
 		t.Fatalf("quarantine must not fail the pool: %v", err)
 	}
-	if starts != 2 || releases != 2 {
-		t.Fatalf("starts=%d releases=%d, want 2 and 2 (rebuild after the panic)", starts, releases)
+	if starts != 2 {
+		t.Fatalf("starts=%d, want 2 (rebuild after the panic)", starts)
 	}
 	if want := []int{0, 1, 3, 4}; !reflect.DeepEqual(out.idx, want) {
 		t.Fatalf("emitted units %v, want %v", out.idx, want)
@@ -228,7 +228,7 @@ func TestPoolStopsAfterFatalError(t *testing.T) {
 	err = Pool[int]{
 		Keys:    poolKeys(3),
 		Workers: 2,
-		Start:   func() (func(int) (int, error), func(), error) { return nil, nil, startErr },
+		Start:   func() (func(int) (int, error), error) { return nil, startErr },
 	}.Run(nil)
 	if !errors.Is(err, startErr) {
 		t.Fatalf("pool error = %v, want the Start error", err)
@@ -275,11 +275,11 @@ func TestPoolWorkerBounds(t *testing.T) {
 		err := Pool[int]{
 			Keys:    poolKeys(3),
 			Workers: workers,
-			Start: func() (func(int) (int, error), func(), error) {
+			Start: func() (func(int) (int, error), error) {
 				mu.Lock()
 				starts++
 				mu.Unlock()
-				return func(i int) (int, error) { return i, nil }, nil, nil
+				return func(i int) (int, error) { return i, nil }, nil
 			},
 			Emit: out.emit,
 		}.Run(nil)
@@ -295,9 +295,9 @@ func TestPoolWorkerBounds(t *testing.T) {
 	}
 	// No units: no worker starts.
 	err := Pool[int]{
-		Start: func() (func(int) (int, error), func(), error) {
+		Start: func() (func(int) (int, error), error) {
 			t.Error("Start called with no units")
-			return nil, nil, nil
+			return nil, nil
 		},
 	}.Run(nil)
 	if err != nil {

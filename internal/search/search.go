@@ -69,14 +69,13 @@ func New(m *glitcher.Model, g glitcher.Guard) (*Searcher, error) {
 		return nil, err
 	}
 	t.FullRun = m.FullRun
-	m.Obs.AttachTarget(t)
 	return &Searcher{Model: m, Guard: g, target: t}, nil
 }
 
-func (s *Searcher) attempt(p glitcher.Params, inj pipeline.Injector, res *Result) bool {
+func (s *Searcher) attempt(p glitcher.Params, inj pipeline.Injector, res *Result, ob *glitcher.UnitObs) bool {
 	res.Attempts++
 	r := s.target.Attempt(inj)
-	s.Model.Obs.Attempt(p, r)
+	ob.Attempt(p, r)
 	if r.Reason == pipeline.StopHit {
 		res.Successes++
 		return true
@@ -92,6 +91,10 @@ func (s *Searcher) attempt(p glitcher.Params, inj pipeline.Injector, res *Result
 // runctl.ErrInterrupted; a nil rn never interrupts. The search itself is
 // not checkpointed — its early-stop walk is seconds long, far below the
 // checkpoint-unit granularity of the exhaustive scans.
+//
+// An observed search is one work unit, named "search guard=<guard>": it
+// writes its milestone events as they happen, and merges its attempts'
+// observation when it returns.
 func (s *Searcher) FindRun(rn *runctl.Run) (*Result, error) {
 	res := &Result{Guard: s.Guard}
 	start := time.Now()
@@ -99,13 +102,15 @@ func (s *Searcher) FindRun(rn *runctl.Run) (*Result, error) {
 	defer s.Model.Obs.Span("search.find", map[string]any{
 		"guard": s.Guard.String(),
 	}).End()
+	ob := s.Model.Obs.Unit("search guard="+s.Guard.String(), 0, glitcher.GridSize)
+	defer s.Model.Obs.Merge(ob)
 
 	glitcher.GridUntil(func(p glitcher.Params) bool {
 		if rn.Err() != nil {
 			return false
 		}
 		// Phase 1: coarse glitch across the whole loop.
-		if !s.attempt(p, s.Model.RangePlan(p, 0, coarseCycles), res) {
+		if !s.attempt(p, s.Model.RangePlan(p, 0, coarseCycles), res, ob) {
 			return true
 		}
 		res.CoarseHits++
@@ -120,13 +125,13 @@ func (s *Searcher) FindRun(rn *runctl.Run) (*Result, error) {
 		// coverage of the first iteration, not because later single
 		// cycles are meaningful.
 		for cycle := 0; cycle < glitcher.LoopCycles; cycle++ {
-			if !s.attempt(p, s.Model.Plan(p, cycle), res) {
+			if !s.attempt(p, s.Model.Plan(p, cycle), res, ob) {
 				continue
 			}
 			// Phase 3: confirm reliability 10/10.
 			reliable := true
 			for i := 1; i < Confirmations; i++ {
-				if !s.attempt(p, s.Model.Plan(p, cycle), res) {
+				if !s.attempt(p, s.Model.Plan(p, cycle), res, ob) {
 					reliable = false
 					break
 				}

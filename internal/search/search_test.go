@@ -1,9 +1,11 @@
 package search
 
 import (
+	"bytes"
 	"testing"
 
 	"glitchlab/internal/glitcher"
+	"glitchlab/internal/obs"
 )
 
 // find runs s's search without a run controller.
@@ -133,5 +135,36 @@ func TestNewCopiesFullRun(t *testing.T) {
 		if s.target.FullRun != full {
 			t.Errorf("model FullRun=%v: searcher target FullRun=%v", full, s.target.FullRun)
 		}
+	}
+}
+
+// TestSearchMilestonesSurviveSampling traces the §V-B searches against
+// both tuned guards at seed 1 and the default sampling rate, as
+// glitchscan -exp search does, and requires every milestone event: the 6
+// coarse hits and 2 reliable points. They are written whole; only the
+// per-attempt records are sampled. Sampled away, they read 0 and 0.
+func TestSearchMilestonesSurviveSampling(t *testing.T) {
+	var buf bytes.Buffer
+	tr := obs.NewTracer(&buf)
+	tr.SetSampling(obs.DefaultSampling)
+	reg := obs.NewRegistry()
+	m := glitcher.NewModel(1)
+	m.Obs = glitcher.NewObs(reg, tr)
+	var attempts uint64
+	for _, g := range []glitcher.Guard{glitcher.GuardWhileA, glitcher.GuardWhileNeq} {
+		s, err := New(m, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		attempts += find(t, s).Attempts
+	}
+	tr.Close()
+	for name, want := range map[string]int{"search.coarse_hit": 6, "search.reliable": 2} {
+		if got := bytes.Count(buf.Bytes(), []byte(`"name":"`+name+`"`)); got != want {
+			t.Errorf("%d %s records, want %d", got, name, want)
+		}
+	}
+	if got := reg.Counter(glitcher.MetricAttempts).Value(); got != attempts {
+		t.Errorf("%s = %d after the searches merged, want %d", glitcher.MetricAttempts, got, attempts)
 	}
 }

@@ -322,9 +322,6 @@ func (d *Daemon) BeginDrain() {
 	}
 }
 
-// Draining reports whether BeginDrain has been called.
-func (d *Daemon) Draining() bool { return d.draining.Load() }
-
 // Degraded reports whether persistent disk faults have flipped the
 // daemon to degraded mode.
 func (d *Daemon) Degraded() bool { return d.degraded.Load() }
@@ -614,8 +611,9 @@ func (d *Daemon) execute(j *Job) {
 		d.fail(j, nil, fmt.Errorf("event stream: %w", err))
 		return
 	}
+	// The tracer samples per-execution records at obs.DefaultSampling;
+	// the job.* events below are written whole.
 	tracer := obs.NewTracer(evFile)
-	tracer.SetSampling(1)
 	closeEvents := func() {
 		tracer.Close()
 		_ = evFile.Close()

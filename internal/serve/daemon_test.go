@@ -7,6 +7,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"reflect"
+	"regexp"
 	"runtime"
 	"strconv"
 	"strings"
@@ -14,6 +17,8 @@ import (
 	"testing"
 	"time"
 
+	"glitchlab/internal/campaign"
+	"glitchlab/internal/isa"
 	"glitchlab/internal/obs"
 	"glitchlab/internal/runctl"
 )
@@ -409,5 +414,63 @@ func TestDaemonJobWorkersDefault(t *testing.T) {
 	d2 := openTestDaemon(t, Config{Executors: 1, JobWorkers: 3})
 	if d2.cfg.JobWorkers != 3 {
 		t.Errorf("explicit JobWorkers = %d, want 3", d2.cfg.JobWorkers)
+	}
+}
+
+// TestDaemonTracesAtDefaultSampling submits a small campaign and reads
+// its event stream. Every job.* event is there: job.start, one job.unit
+// per work unit and job.done. The per-execution records are sampled at
+// obs.DefaultSampling, so they are exactly (t_us aside) the ones Exec
+// writes for the same spec through a tracer at the default rate.
+func TestDaemonTracesAtDefaultSampling(t *testing.T) {
+	d := openTestDaemon(t, Config{})
+	res, err := d.Submit(campaignSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !d.WaitTerminal(res.Job.ID, waitTimeout) {
+		t.Fatal("job did not finish")
+	}
+	served, err := os.ReadFile(d.EventsPath(res.Job.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var direct, out bytes.Buffer
+	tr := obs.NewTracer(&direct)
+	if err := Exec(mustNormalize(t, campaignSpec), Env{Workers: 2, Reg: obs.NewRegistry(), Tracer: tr}, &out); err != nil {
+		t.Fatal(err)
+	}
+	tr.Close()
+
+	tUs := regexp.MustCompile(`"t_us":[0-9]*,`)
+	execRecords := func(stream []byte) (recs []string, names map[string]int) {
+		names = map[string]int{}
+		for _, line := range bytes.Split(bytes.TrimSuffix(stream, []byte("\n")), []byte("\n")) {
+			var rec obs.Record
+			if err := json.Unmarshal(line, &rec); err != nil {
+				t.Fatalf("invalid event record %q: %v", line, err)
+			}
+			names[rec.Name]++
+			if rec.Name == "campaign.exec" {
+				recs = append(recs, tUs.ReplaceAllString(string(line), ""))
+			}
+		}
+		return recs, names
+	}
+	got, names := execRecords(served)
+	want, _ := execRecords(direct.Bytes())
+	units := len(isa.BranchConds()) * (campaignSpec.MaxFlips + 1)
+	for name, n := range map[string]int{"job.start": 1, "job.unit": units, "job.done": 1} {
+		if names[name] != n {
+			t.Errorf("%d %s events, want %d", names[name], name, n)
+		}
+	}
+	if len(want) == 0 || len(want) >= int(campaign.PlannedRuns(campaignSpec.MaxFlips)) {
+		t.Fatalf("direct run kept %d campaign.exec records, want a sampled subset", len(want))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("served campaign.exec records differ from Exec's:\n%s\nwant:\n%s",
+			strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
